@@ -30,7 +30,10 @@ struct CheckOptions {
 ///   - metadata: magic, dims in range, root/height/leaf-count agreement,
 ///     root written last (packed layout), leaves before internal nodes;
 ///   - structure: every page reachable exactly once, uniform leaf depth,
-///     internal MBRs contain their children's actual bounding boxes;
+///     internal MBRs contain their children's actual bounding boxes, and —
+///     when the meta page flags the tree pack-ordered — consecutive
+///     children never decrease in lo or hi of the pack-major dimension
+///     (`mbr-major-order`, the invariant the sorted search relies on);
 ///   - leaves: nonzero entry counts within capacity, uniform fill within a
 ///     view's run (all but the run's last leaf equally packed), per-entry
 ///     compression round-trip (decode+re-encode is byte-identical), and —

@@ -1,7 +1,5 @@
 #include "cubetree/cubetree.h"
 
-#include "common/assert.h"
-
 namespace cubetree {
 
 Result<const ViewDef*> Cubetree::FindView(uint32_t view_id) const {
@@ -19,9 +17,8 @@ uint8_t Cubetree::ViewArity(uint32_t view_id) const {
   return 0;
 }
 
-Result<Rect> Cubetree::SliceRect(
-    uint32_t view_id,
-    const std::vector<std::optional<Coord>>& bindings) const {
+std::vector<std::pair<Coord, Coord>> Cubetree::SliceIntervals(
+    const std::vector<std::optional<Coord>>& bindings) {
   std::vector<std::pair<Coord, Coord>> intervals;
   intervals.reserve(bindings.size());
   for (const auto& binding : bindings) {
@@ -31,7 +28,13 @@ Result<Rect> Cubetree::SliceRect(
       intervals.emplace_back(1, kCoordMax);
     }
   }
-  return BoxRect(view_id, intervals);
+  return intervals;
+}
+
+Result<Rect> Cubetree::SliceRect(
+    uint32_t view_id,
+    const std::vector<std::optional<Coord>>& bindings) const {
+  return BoxRect(view_id, SliceIntervals(bindings));
 }
 
 Result<Rect> Cubetree::BoxRect(
@@ -56,39 +59,6 @@ Result<Rect> Cubetree::BoxRect(
     }
   }
   return rect;
-}
-
-Status Cubetree::QuerySlice(
-    uint32_t view_id, const std::vector<std::optional<Coord>>& bindings,
-    const std::function<void(const Coord*, const AggValue&)>& emit,
-    SearchStats* stats) {
-  std::vector<std::pair<Coord, Coord>> intervals;
-  intervals.reserve(bindings.size());
-  for (const auto& binding : bindings) {
-    if (binding.has_value()) {
-      intervals.emplace_back(*binding, *binding);
-    } else {
-      intervals.emplace_back(1, kCoordMax);
-    }
-  }
-  return QueryBox(view_id, intervals, emit, stats);
-}
-
-Status Cubetree::QueryBox(
-    uint32_t view_id, const std::vector<std::pair<Coord, Coord>>& intervals,
-    const std::function<void(const Coord*, const AggValue&)>& emit,
-    SearchStats* stats) {
-  CT_ASSIGN_OR_RETURN(Rect rect, BoxRect(view_id, intervals));
-  auto filter = [&](const PointRecord& rec) {
-    CT_DCHECK(rect.ContainsPoint(rec.coords, tree_->dims()))
-        << "search emitted a point outside the query box";
-    if (rec.view_id == view_id) emit(rec.coords, rec.agg);
-  };
-  CT_RETURN_NOT_OK(tree_->Search(rect, filter, stats));
-  for (const auto& delta : deltas_) {
-    CT_RETURN_NOT_OK(delta->Search(rect, filter, stats));
-  }
-  return Status::OK();
 }
 
 }  // namespace cubetree

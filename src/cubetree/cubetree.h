@@ -1,12 +1,13 @@
 #ifndef CUBETREE_CUBETREE_CUBETREE_H_
 #define CUBETREE_CUBETREE_CUBETREE_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "cubetree/view_def.h"
@@ -104,28 +105,52 @@ class Cubetree {
       uint32_t view_id,
       const std::vector<std::pair<Coord, Coord>>& intervals) const;
 
-  /// Runs a slice query: emits (coords, agg) for each qualifying tuple of
-  /// the view. Coordinates are in the view's attribute order.
+  /// Runs a slice query: calls emit(const Coord*, const AggValue&) for
+  /// each qualifying tuple of the view. Coordinates are in the view's
+  /// attribute order.
+  template <typename Emit>
   Status QuerySlice(uint32_t view_id,
                     const std::vector<std::optional<Coord>>& bindings,
-                    const std::function<void(const Coord*, const AggValue&)>&
-                        emit,
-                    SearchStats* stats = nullptr);
+                    Emit&& emit, SearchStats* stats = nullptr) {
+    return QueryBox(view_id, SliceIntervals(bindings),
+                    std::forward<Emit>(emit), stats);
+  }
 
   /// Box-query variant of QuerySlice with per-attribute intervals. Emits
   /// from the main tree and every delta tree; a group key present in
   /// several trees is emitted once per tree (callers aggregate).
+  template <typename Emit>
   Status QueryBox(uint32_t view_id,
                   const std::vector<std::pair<Coord, Coord>>& intervals,
-                  const std::function<void(const Coord*, const AggValue&)>&
-                      emit,
-                  SearchStats* stats = nullptr);
+                  Emit&& emit, SearchStats* stats = nullptr);
 
  private:
+  /// Per-attribute intervals of a slice: a binding pins its attribute, an
+  /// open attribute spans [1, max].
+  static std::vector<std::pair<Coord, Coord>> SliceIntervals(
+      const std::vector<std::optional<Coord>>& bindings);
+
   std::vector<ViewDef> views_;
   std::shared_ptr<PackedRTree> tree_;
   std::vector<std::shared_ptr<PackedRTree>> deltas_;
 };
+
+template <typename Emit>
+Status Cubetree::QueryBox(
+    uint32_t view_id, const std::vector<std::pair<Coord, Coord>>& intervals,
+    Emit&& emit, SearchStats* stats) {
+  CT_ASSIGN_OR_RETURN(Rect rect, BoxRect(view_id, intervals));
+  auto filter = [&](const PointRecord& rec) {
+    CT_DCHECK(rect.ContainsPoint(rec.coords, tree_->dims()))
+        << "search emitted a point outside the query box";
+    if (rec.view_id == view_id) emit(rec.coords, rec.agg);
+  };
+  CT_RETURN_NOT_OK(tree_->Search(rect, filter, stats));
+  for (const auto& delta : deltas_) {
+    CT_RETURN_NOT_OK(delta->Search(rect, filter, stats));
+  }
+  return Status::OK();
+}
 
 /// Adapts a pack-order leaf scan of an existing tree into a PointSource
 /// (the "old Cubetree" input of the merge-pack of Figure 15).

@@ -84,6 +84,66 @@ const char* OutcomeName(const Status& status, bool rerouted, bool degraded) {
   return "error";
 }
 
+/// GROUP BY table of the superset re-aggregation: an open-addressing
+/// index (linear probing, at most half full) over dense arrays of
+/// fixed-width keys and their aggregates, so a group costs no allocation
+/// of its own. Groups are numbered in first-seen order.
+class GroupTable {
+ public:
+  explicit GroupTable(size_t width) : width_(width) {}
+
+  /// The aggregate of the group whose `width` coordinates are at `key`
+  /// (zero-initialized when the group is new).
+  AggValue& operator[](const Coord* key) {
+    if ((aggs_.size() + 1) * 2 > index_.size()) {
+      Rehash(std::max<size_t>(16, index_.size() * 2));
+    }
+    uint32_t* slot = Find(key);
+    if (*slot == kEmpty) {
+      *slot = static_cast<uint32_t>(aggs_.size());
+      keys_.insert(keys_.end(), key, key + width_);
+      aggs_.emplace_back();
+    }
+    return aggs_[*slot];
+  }
+
+  size_t size() const { return aggs_.size(); }
+  const Coord* key(size_t group) const {
+    return keys_.data() + group * width_;
+  }
+  const AggValue& agg(size_t group) const { return aggs_[group]; }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  uint32_t* Find(const Coord* key) {
+    uint64_t h = 0;
+    for (size_t i = 0; i < width_; ++i) {
+      h = (h ^ key[i]) * 0x9E3779B97F4A7C15ull;
+    }
+    h = (h ^ (h >> 32)) * 0xD6E8FEB86659FD93ull;
+    const size_t mask = index_.size() - 1;
+    size_t i = static_cast<size_t>(h ^ (h >> 32)) & mask;
+    while (index_[i] != kEmpty &&
+           !std::equal(key, key + width_, this->key(index_[i]))) {
+      i = (i + 1) & mask;
+    }
+    return &index_[i];
+  }
+
+  void Rehash(size_t slots) {
+    index_.assign(slots, kEmpty);
+    for (size_t g = 0; g < aggs_.size(); ++g) {
+      *Find(key(g)) = static_cast<uint32_t>(g);
+    }
+  }
+
+  size_t width_;
+  std::vector<uint32_t> index_;  // Group numbers; power-of-two size.
+  std::vector<Coord> keys_;      // width_ coordinates per group.
+  std::vector<AggValue> aggs_;
+};
+
 /// ViewDataProvider over per-view record buffers derived in memory ahead of
 /// the rebuild (from healthy replicas / superset views), already sorted in
 /// pack order.
@@ -627,19 +687,26 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
           &search_stats));
     } else {
       // Superset view: re-aggregate over the extra attributes on the fly
-      // (the paper's "additional aggregate step").
-      std::map<std::vector<Coord>, AggValue> groups;
-      std::vector<Coord> key;
+      // (the paper's "additional aggregate step"). Rows come out in
+      // first-seen order; callers that need an order sort them
+      // (QueryResult::SortRows).
+      const size_t width = group_positions.size();
+      GroupTable groups(width);
+      Coord key[kMaxDims];
       CT_RETURN_NOT_OK(tree->QueryBox(
           best->id, intervals,
           [&](const Coord* coords, const AggValue& agg) {
-            key.clear();
-            for (size_t pos : group_positions) key.push_back(coords[pos]);
+            for (size_t i = 0; i < width; ++i) {
+              key[i] = coords[group_positions[i]];
+            }
             groups[key].Merge(agg);
           },
           &search_stats));
-      for (auto& [key2, agg] : groups) {
-        result.rows.push_back(ResultRow{key2, agg});
+      result.rows.reserve(groups.size());
+      for (size_t g = 0; g < groups.size(); ++g) {
+        const Coord* group = groups.key(g);
+        result.rows.push_back(
+            ResultRow{std::vector<Coord>(group, group + width), groups.agg(g)});
       }
     }
     if (search_span.active()) {

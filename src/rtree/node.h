@@ -27,6 +27,61 @@ namespace cubetree {
 
 inline constexpr size_t kRNodeHeaderSize = 8;
 
+inline constexpr uint32_t kRTreeMagic = 0x43545254;  // "CTRT"
+
+/// The metadata page (page 0) of a packed R-tree file:
+///   [0..3]   magic
+///   [4]      dims
+///   [5]      compress flag
+///   [6]      pack-order flag (see `pack_ordered`)
+///   [7]      pad
+///   [8..11]  root page
+///   [12..15] height
+///   [16..23] num_points
+///   [24..27] num_leaf_pages
+/// Files written before byte 6 was assigned carry 0 there (the pad was
+/// zero-filled), so they decode as not pack-ordered.
+struct RTreeMeta {
+  uint8_t dims = 0;
+  bool compress_leaves = false;
+  /// The build verified strict pack order (x_max, ..., x_1) on its input.
+  /// Then the children of every internal node are non-decreasing in
+  /// lo[dims-1] and hi[dims-1], and the entries of a leaf of arity a > 0
+  /// are non-decreasing in coordinate a-1 — the invariant the sorted
+  /// search window relies on.
+  bool pack_ordered = false;
+  PageId root = kInvalidPageId;
+  uint32_t height = 0;
+  uint64_t num_points = 0;
+  PageId num_leaf_pages = 0;
+
+  /// Writes the metadata into a zeroed page image.
+  void EncodeTo(char* page) const {
+    EncodeFixed32(page, kRTreeMagic);
+    page[4] = static_cast<char>(dims);
+    page[5] = compress_leaves ? 1 : 0;
+    page[6] = pack_ordered ? 1 : 0;
+    EncodeFixed32(page + 8, root);
+    EncodeFixed32(page + 12, height);
+    EncodeFixed64(page + 16, num_points);
+    EncodeFixed32(page + 24, num_leaf_pages);
+  }
+
+  /// Decodes a metadata page; false (fields untouched) on a bad magic.
+  /// Field ranges are the caller's to validate.
+  bool DecodeFrom(const char* page) {
+    if (DecodeFixed32(page) != kRTreeMagic) return false;
+    dims = static_cast<uint8_t>(page[4]);
+    compress_leaves = page[5] != 0;
+    pack_ordered = page[6] != 0;
+    root = DecodeFixed32(page + 8);
+    height = DecodeFixed32(page + 12);
+    num_points = DecodeFixed64(page + 16);
+    num_leaf_pages = DecodeFixed32(page + 24);
+    return true;
+  }
+};
+
 inline bool RNodeIsLeaf(const char* page) { return page[0] != 0; }
 inline uint8_t RNodeArity(const char* page) {
   return static_cast<uint8_t>(page[1]);
@@ -84,6 +139,19 @@ inline void RLeafReadEntry(const char* src, uint8_t arity, uint32_t view_id,
   const char* p = src + static_cast<size_t>(arity) * sizeof(Coord);
   out->agg.sum = static_cast<int64_t>(DecodeFixed64(p));
   out->agg.count = DecodeFixed32(p + 8);
+}
+
+/// Coordinate `d` of the leaf entry at `src`, without decoding the rest.
+inline Coord RLeafCoord(const char* src, size_t d) {
+  return DecodeFixed32(src + d * sizeof(Coord));
+}
+
+/// lo[d] / hi[d] of the internal entry at `src`, without decoding the rest.
+inline Coord RInternalLo(const char* src, size_t d) {
+  return DecodeFixed32(src + d * sizeof(Coord));
+}
+inline Coord RInternalHi(const char* src, uint8_t dims, size_t d) {
+  return DecodeFixed32(src + (static_cast<size_t>(dims) + d) * sizeof(Coord));
 }
 
 /// Writes one internal entry (MBR + child) at `dest`.

@@ -17,30 +17,34 @@ namespace cubetree {
 
 namespace {
 
-constexpr uint32_t kRTreeMagic = 0x43545254;  // "CTRT"
-
-// Meta page (page 0) layout:
-//   [0..3]   magic
-//   [4]      dims
-//   [5]      compress flag
-//   [6..7]   pad
-//   [8..11]  root page
-//   [12..15] height
-//   [16..23] num_points
-//   [24..27] num_leaf_pages
+/// First index in [lo, hi) at which `pred` turns false, for a `pred` that
+/// holds on a prefix of the range (std::partition_point over indices).
+template <typename Pred>
+uint16_t PartitionPoint(uint16_t lo, uint16_t hi, Pred pred) {
+  while (lo < hi) {
+    const uint16_t mid = static_cast<uint16_t>(lo + (hi - lo) / 2);
+    if (pred(mid)) {
+      lo = static_cast<uint16_t>(mid + 1);
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
 
 void WriteMetaPage(Page* page, const RTreeOptions& options, PageId root,
                    uint32_t height, uint64_t num_points,
                    PageId num_leaf_pages) {
+  RTreeMeta meta;
+  meta.dims = options.dims;
+  meta.compress_leaves = options.compress_leaves;
+  meta.pack_ordered = options.enforce_pack_order;
+  meta.root = root;
+  meta.height = height;
+  meta.num_points = num_points;
+  meta.num_leaf_pages = num_leaf_pages;
   page->Zero();
-  char* p = page->data;
-  EncodeFixed32(p, kRTreeMagic);
-  p[4] = static_cast<char>(options.dims);
-  p[5] = options.compress_leaves ? 1 : 0;
-  EncodeFixed32(p + 8, root);
-  EncodeFixed32(p + 12, height);
-  EncodeFixed64(p + 16, num_points);
-  EncodeFixed32(p + 24, num_leaf_pages);
+  meta.EncodeTo(page->data);
 }
 
 }  // namespace
@@ -233,22 +237,40 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Open(
     // unusable — surface it so the tree is quarantined, not trusted.
     if (!cs.IsNotFound()) return cs;
   }
-  Page meta;
-  CT_RETURN_NOT_OK(file->ReadPage(0, &meta));
-  const char* p = meta.data;
-  if (DecodeFixed32(p) != kRTreeMagic) {
+  Page page;
+  CT_RETURN_NOT_OK(file->ReadPage(0, &page));
+  RTreeMeta meta;
+  if (!meta.DecodeFrom(page.data)) {
     return Status::Corruption("rtree: bad magic in " + path);
   }
   RTreeOptions options;
-  options.dims = static_cast<uint8_t>(p[4]);
-  options.compress_leaves = p[5] != 0;
+  options.dims = meta.dims;
+  options.compress_leaves = meta.compress_leaves;
+  options.enforce_pack_order = meta.pack_ordered;
   auto tree = std::unique_ptr<PackedRTree>(
       new PackedRTree(std::move(file), options, pool));
-  tree->root_ = DecodeFixed32(p + 8);
-  tree->height_ = DecodeFixed32(p + 12);
-  tree->num_points_ = DecodeFixed64(p + 16);
-  tree->num_leaf_pages_ = DecodeFixed32(p + 24);
+  tree->root_ = meta.root;
+  tree->height_ = meta.height;
+  tree->num_points_ = meta.num_points;
+  tree->num_leaf_pages_ = meta.num_leaf_pages;
   return tree;
+}
+
+Status PackedRTree::Descend(const Rect& query, std::vector<PageId>* leaves,
+                            SearchStats* stats) {
+  obs::Span descent("rtree.descent");
+  if (root_ != 0 && root_ <= num_leaf_pages_) {
+    // Single-leaf tree: no internal levels to descend.
+    leaves->push_back(root_);
+  } else {
+    CT_RETURN_NOT_OK(CollectLeaves(root_, query, leaves, stats));
+  }
+  if (descent.active()) {
+    descent.Annotate("internal_pages", stats->internal_pages);
+    descent.Annotate("candidate_leaves",
+                     static_cast<uint64_t>(leaves->size()));
+  }
+  return Status::OK();
 }
 
 Status PackedRTree::CollectLeaves(PageId node_id, const Rect& query,
@@ -264,8 +286,29 @@ Status PackedRTree::CollectLeaves(PageId node_id, const Rect& query,
     return Status::OK();
   }
   ++stats->internal_pages;
+  const uint8_t dims = options_.dims;
   const uint16_t count = RNodeCount(page);
-  const size_t entry_bytes = RInternalEntryBytes(options_.dims);
+  if (count > RInternalCapacity(dims)) {
+    return Status::Corruption("rtree: internal node count exceeds capacity "
+                              "in " + path());
+  }
+  const size_t entry_bytes = RInternalEntryBytes(dims);
+  const char* entries = page + kRNodeHeaderSize;
+  // Children of a pack-ordered node are sorted on the pack-major
+  // coordinate: skip those ending before the query and stop at the first
+  // starting after it. Neither can intersect the query.
+  uint16_t begin = 0;
+  uint16_t end = count;
+  if (pack_ordered()) {
+    const size_t major = dims - 1;
+    begin = PartitionPoint(0, count, [&](uint16_t i) {
+      return RInternalHi(entries + i * entry_bytes, dims, major) <
+             query.lo[major];
+    });
+    end = PartitionPoint(begin, count, [&](uint16_t i) {
+      return RInternalLo(entries + i * entry_bytes, major) <= query.hi[major];
+    });
+  }
   // Collect matching children first so the handle is released before
   // recursion (keeps pinned frames bounded by tree height). Children in
   // the leaf id range go straight to the candidate list; packing builds
@@ -274,10 +317,9 @@ Status PackedRTree::CollectLeaves(PageId node_id, const Rect& query,
   std::vector<PageId> matches;
   Rect mbr;
   PageId child;
-  for (uint16_t i = 0; i < count; ++i) {
-    RInternalReadEntry(page + kRNodeHeaderSize + i * entry_bytes,
-                       options_.dims, &mbr, &child);
-    if (!query.Intersects(mbr, options_.dims)) continue;
+  for (uint16_t i = begin; i < end; ++i) {
+    RInternalReadEntry(entries + i * entry_bytes, dims, &mbr, &child);
+    if (!query.Intersects(mbr, dims)) continue;
     if (child != 0 && child <= num_leaf_pages_) {
       leaves->push_back(child);
     } else {
@@ -291,67 +333,47 @@ Status PackedRTree::CollectLeaves(PageId node_id, const Rect& query,
   return Status::OK();
 }
 
-Status PackedRTree::ScanLeaf(
-    PageId leaf_id, const Rect& query,
-    const std::function<void(const PointRecord&)>& emit, SearchStats* stats) {
-  CT_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(file_.get(), leaf_id));
-  const char* page = handle.data();
+Status PackedRTree::OpenLeaf(PageId leaf_id, const Rect& query,
+                             PointRecord* rec, LeafWindow* window,
+                             SearchStats* stats) {
+  // Unpin the previous leaf first: a scan never holds two leaves.
+  window->handle.Release();
+  CT_ASSIGN_OR_RETURN(window->handle, pool_->Fetch(file_.get(), leaf_id));
+  const char* page = window->handle.data();
   if (!RNodeIsLeaf(page)) {
     return Status::Corruption("rtree: expected leaf page in " + path());
   }
   ++stats->leaf_pages;
   const uint16_t count = RNodeCount(page);
   const uint8_t arity = RNodeArity(page);
-  const uint32_t view_id = RNodeViewId(page);
-  CT_DCHECK(arity <= options_.dims) << "corrupt leaf arity in " << path();
-  CT_DCHECK(count <= RLeafCapacity(arity))
-      << "corrupt leaf count in " << path();
-  const size_t entry_bytes = RLeafEntryBytes(arity);
-  PointRecord rec;
-  for (uint16_t i = 0; i < count; ++i) {
-    RLeafReadEntry(page + kRNodeHeaderSize + i * entry_bytes, arity, view_id,
-                   &rec);
-    ++stats->points_examined;
-    if (query.ContainsPoint(rec.coords, options_.dims)) {
-      ++stats->points_emitted;
-      emit(rec);
-    }
+  if (arity > options_.dims || count > RLeafCapacity(arity)) {
+    return Status::Corruption("rtree: corrupt leaf header in " + path());
   }
-  return Status::OK();
-}
-
-Status PackedRTree::Search(const Rect& query,
-                           const std::function<void(const PointRecord&)>& emit,
-                           SearchStats* stats) {
-  if (root_ == kInvalidPageId) return Status::OK();
-  SearchStats local;
-  SearchStats* s = stats != nullptr ? stats : &local;
-  std::vector<PageId> leaves;
-  {
-    obs::Span descent("rtree.descent");
-    if (root_ != 0 && root_ <= num_leaf_pages_) {
-      // Single-leaf tree: no internal levels to descend.
-      leaves.push_back(root_);
-    } else {
-      CT_RETURN_NOT_OK(CollectLeaves(root_, query, &leaves, s));
-    }
-    if (descent.active()) {
-      descent.Annotate("internal_pages", s->internal_pages);
-      descent.Annotate("candidate_leaves",
-                       static_cast<uint64_t>(leaves.size()));
-    }
+  rec->view_id = RNodeViewId(page);
+  for (size_t d = arity; d < kMaxDims; ++d) rec->coords[d] = 0;
+  window->entries = page + kRNodeHeaderSize;
+  window->entry_bytes = RLeafEntryBytes(arity);
+  window->arity = arity;
+  window->begin = 0;
+  window->end = count;
+  // Coordinates arity..dims-1 are 0 for every entry of this leaf.
+  for (size_t d = arity; d < options_.dims; ++d) {
+    if (query.lo[d] > 0) window->end = 0;
   }
-  {
-    obs::Span scan("rtree.scan");
-    for (PageId leaf : leaves) {
-      CT_RETURN_NOT_OK(ScanLeaf(leaf, query, emit, s));
-    }
-    if (scan.active()) {
-      scan.Annotate("leaf_pages", s->leaf_pages);
-      scan.Annotate("points_examined", s->points_examined);
-      scan.Annotate("points_emitted", s->points_emitted);
-    }
+  if (pack_ordered() && arity > 0 && window->end > 0) {
+    // Within one leaf every coordinate above arity-1 is 0, so pack order
+    // sorts the entries on coordinate arity-1.
+    const size_t major = arity - 1;
+    const char* entries = window->entries;
+    const size_t entry_bytes = window->entry_bytes;
+    window->begin = PartitionPoint(0, count, [&](uint16_t i) {
+      return RLeafCoord(entries + i * entry_bytes, major) < query.lo[major];
+    });
+    window->end = PartitionPoint(window->begin, count, [&](uint16_t i) {
+      return RLeafCoord(entries + i * entry_bytes, major) <= query.hi[major];
+    });
   }
+  stats->points_examined += window->end - window->begin;
   return Status::OK();
 }
 

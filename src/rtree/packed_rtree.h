@@ -2,13 +2,16 @@
 #define CUBETREE_RTREE_PACKED_RTREE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "obs/trace.h"
 #include "rtree/geometry.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_manager.h"
@@ -34,6 +37,9 @@ struct RTreeOptions {
   /// Disable ONLY to bulk-load an alternative sort order (e.g. the Z-order
   /// ablation); such a tree still answers box queries correctly, but view
   /// runs are no longer contiguous and merge-pack no longer applies.
+  /// The setting is persisted in the meta page: only a tree built with it
+  /// on takes the sorted search window (see PackedRTree::Search), and Open
+  /// restores it from the file.
   bool enforce_pack_order = true;
 };
 
@@ -69,6 +75,8 @@ class VectorPointSource : public PointSource {
 struct SearchStats {
   uint64_t internal_pages = 0;
   uint64_t leaf_pages = 0;
+  /// Leaf entries inside the scanned leaves' search windows (entries the
+  /// window skips by binary search are not counted).
   uint64_t points_examined = 0;
   uint64_t points_emitted = 0;
 };
@@ -104,11 +112,16 @@ class PackedRTree {
   PackedRTree& operator=(const PackedRTree&) = delete;
 
   /// Emits every point contained in `query` (over the first dims()
-  /// coordinates). Points carry their view_id; callers typically restrict
-  /// the query rect so only one view's region matches.
-  Status Search(const Rect& query,
-                const std::function<void(const PointRecord&)>& emit,
-                SearchStats* stats = nullptr);
+  /// coordinates) by calling `emit(const PointRecord&)`, in pack order.
+  /// Points carry their view_id; callers typically restrict the query rect
+  /// so only one view's region matches.
+  ///
+  /// On a pack-ordered tree (pack_ordered()) every node visited is cut to
+  /// a window by binary search on its pack-major coordinate: internal
+  /// nodes on lo/hi[dims-1], a leaf of arity a > 0 on coordinate a-1.
+  /// Other trees scan each node from entry 0. Both read the same pages.
+  template <typename Emit>
+  Status Search(const Rect& query, Emit&& emit, SearchStats* stats = nullptr);
 
   /// Sequential pack-order scan over all points (merge-pack input). Reads
   /// leaf pages directly (sequential I/O, bypassing the pool).
@@ -140,6 +153,8 @@ class PackedRTree {
   Status Validate();
 
   uint8_t dims() const { return options_.dims; }
+  /// True when the meta page records a build-time pack-order guarantee.
+  bool pack_ordered() const { return options_.enforce_pack_order; }
   uint64_t num_points() const { return num_points_; }
   uint32_t height() const { return height_; }
   PageId num_leaf_pages() const { return num_leaf_pages_; }
@@ -154,6 +169,18 @@ class PackedRTree {
   PackedRTree(std::unique_ptr<PageManager> file, RTreeOptions options,
               BufferPool* pool);
 
+  /// The part of one fetched leaf a search must test: entries
+  /// [begin, end), each `entry_bytes` long from `entries`, with `arity`
+  /// stored coordinates. The handle keeps the page pinned meanwhile.
+  struct LeafWindow {
+    PageHandle handle;
+    const char* entries = nullptr;
+    size_t entry_bytes = 0;
+    uint8_t arity = 0;
+    uint16_t begin = 0;
+    uint16_t end = 0;
+  };
+
   /// Search runs in two phases so traces show honest "descent" and "scan"
   /// costs. Descent walks internal pages only, collecting qualifying leaf
   /// page ids in DFS entry order (the layout invariant — leaves occupy
@@ -163,11 +190,15 @@ class PackedRTree {
   /// recursion exactly, because every internal node's children live on one
   /// level (bottom-up packing), so no node mixes leaf and internal
   /// children.
+  Status Descend(const Rect& query, std::vector<PageId>* leaves,
+                 SearchStats* stats);
   Status CollectLeaves(PageId node, const Rect& query,
                        std::vector<PageId>* leaves, SearchStats* stats);
-  Status ScanLeaf(PageId leaf, const Rect& query,
-                  const std::function<void(const PointRecord&)>& emit,
-                  SearchStats* stats);
+  /// Fetches `leaf`, resets `rec` for it (view id, zeroed coordinates from
+  /// the leaf's arity up) and sets `*window` to the entries left to test.
+  /// The implicitly-zero coordinates are tested here, once per leaf.
+  Status OpenLeaf(PageId leaf, const Rect& query, PointRecord* rec,
+                  LeafWindow* window, SearchStats* stats);
 
   std::unique_ptr<PageManager> file_;
   RTreeOptions options_;
@@ -177,6 +208,38 @@ class PackedRTree {
   uint64_t num_points_ = 0;
   PageId num_leaf_pages_ = 0;
 };
+
+template <typename Emit>
+Status PackedRTree::Search(const Rect& query, Emit&& emit,
+                           SearchStats* stats) {
+  if (root_ == kInvalidPageId) return Status::OK();
+  SearchStats local;
+  SearchStats* s = stats != nullptr ? stats : &local;
+  std::vector<PageId> leaves;
+  CT_RETURN_NOT_OK(Descend(query, &leaves, s));
+  obs::Span scan("rtree.scan");
+  PointRecord rec;
+  LeafWindow window;
+  for (PageId leaf : leaves) {
+    CT_RETURN_NOT_OK(OpenLeaf(leaf, query, &rec, &window, s));
+    const size_t coord_bytes = window.arity * sizeof(Coord);
+    for (uint16_t i = window.begin; i < window.end; ++i) {
+      const char* entry = window.entries + i * window.entry_bytes;
+      std::memcpy(rec.coords, entry, coord_bytes);
+      if (!query.ContainsPoint(rec.coords, window.arity)) continue;
+      rec.agg.sum = static_cast<int64_t>(DecodeFixed64(entry + coord_bytes));
+      rec.agg.count = DecodeFixed32(entry + coord_bytes + 8);
+      ++s->points_emitted;
+      emit(static_cast<const PointRecord&>(rec));
+    }
+  }
+  if (scan.active()) {
+    scan.Annotate("leaf_pages", s->leaf_pages);
+    scan.Annotate("points_examined", s->points_examined);
+    scan.Annotate("points_emitted", s->points_emitted);
+  }
+  return Status::OK();
+}
 
 }  // namespace cubetree
 

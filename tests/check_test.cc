@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -174,6 +175,41 @@ TEST_F(RTreeCheckerTest, DetectsInternalBitFlip) {
   CheckReport report = DeepCheck();
   EXPECT_GT(report.errors(), 0u);
   EXPECT_TRUE(HasCode(report, "mbr-containment")) << CodeList(report);
+}
+
+TEST_F(RTreeCheckerTest, DetectsMajorOrderViolationInPackOrderedTree) {
+  // Swap the root's first two entries (MBR and child pointer together):
+  // every MBR still contains its child, the checksums are rewritten to
+  // match, and only the children's order on the pack-major dimension —
+  // which the sorted search window binary-searches — is broken.
+  const PageId root_page = num_leaf_pages_ + 1;
+  auto swap_first_children = [](char* page) {
+    const size_t entry_bytes = RInternalEntryBytes(1);
+    char* first = page + kRNodeHeaderSize;
+    std::swap_ranges(first, first + entry_bytes, first + entry_bytes);
+  };
+  RewritePage(path_, root_page, swap_first_children);
+  CheckOptions options;
+  options.deep = true;
+  options.checksums = true;
+  auto check = [&] {
+    RTreeChecker checker(path_, options,
+                         [](uint32_t) -> uint8_t { return 1; });
+    CheckReport report;
+    EXPECT_OK(checker.Run(&report));
+    return report;
+  };
+  CheckReport report = check();
+  EXPECT_TRUE(HasCode(report, "mbr-major-order")) << CodeList(report);
+  for (const Finding& f : report.findings()) {
+    EXPECT_NE(f.code.rfind("checksum-", 0), 0u) << CodeList(report);
+  }
+  // A tree without the pack-order flag is searched linearly and makes no
+  // such promise.
+  RewritePage(path_, 0, [](char* meta) { meta[6] = 0; });
+  report = check();
+  EXPECT_FALSE(HasCode(report, "mbr-major-order")) << CodeList(report);
+  EXPECT_EQ(report.errors(), 0u) << report.ToString();
 }
 
 TEST_F(RTreeCheckerTest, DetectsMetaBitFlip) {

@@ -1,7 +1,8 @@
 // Parameterized end-to-end property tests: both storage organizations,
 // configured across pool sizes, compression and replication settings,
-// must give identical answers to random slice queries (checked against
-// brute force over the raw facts), before and after increments.
+// must give identical answers to random slice and BETWEEN-band queries
+// (checked against brute force over the raw facts), before and after a
+// merge-pack increment and a delta-tree increment.
 
 #include <gtest/gtest.h>
 
@@ -54,8 +55,9 @@ class EnginePairProperty : public ::testing::TestWithParam<EngineParam> {
     for (const FactTuple& t : facts) {
       bool match = true;
       for (size_t i = 0; i < query.attrs.size(); ++i) {
-        if (query.bindings[i].has_value() &&
-            t.attr_values[query.attrs[i]] != *query.bindings[i]) {
+        const auto [lo, hi] = query.AttrInterval(i);
+        const Coord v = t.attr_values[query.attrs[i]];
+        if (v < lo || v > hi) {
           match = false;
           break;
         }
@@ -63,9 +65,7 @@ class EnginePairProperty : public ::testing::TestWithParam<EngineParam> {
       if (!match) continue;
       std::vector<Coord> key;
       for (size_t i = 0; i < query.attrs.size(); ++i) {
-        if (!query.bindings[i].has_value()) {
-          key.push_back(t.attr_values[query.attrs[i]]);
-        }
+        if (query.IsGrouped(i)) key.push_back(t.attr_values[query.attrs[i]]);
       }
       groups[key].Merge(AggValue{t.measure, 1});
     }
@@ -146,8 +146,12 @@ TEST_P(EnginePairProperty, EnginesAgreeAcrossConfigurations) {
     SliceQueryGenerator gen(schema, qseed);
     CubeLattice lattice(schema);
     for (size_t node = 0; node < lattice.num_nodes(); ++node) {
-      for (int draw = 0; draw < rounds; ++draw) {
-        SliceQuery query = gen.ForNode(lattice.node(node).attrs, false);
+      for (int draw = 0; draw < 2 * rounds; ++draw) {
+        // Alternate equality slices with BETWEEN bands over ~30% of each
+        // constrained attribute's domain.
+        const auto& attrs = lattice.node(node).attrs;
+        SliceQuery query = draw % 2 == 0 ? gen.ForNode(attrs, false)
+                                         : gen.ForNodeRange(attrs, 0.3, false);
         QueryResult expected = Reference(query, all);
         auto a = conv->Execute(query, nullptr);
         ASSERT_TRUE(a.ok()) << a.status().ToString();
@@ -185,6 +189,28 @@ TEST_P(EnginePairProperty, EnginesAgreeAcrossConfigurations) {
   std::vector<FactTuple> all = facts;
   all.insert(all.end(), delta.begin(), delta.end());
   check_queries(all, 2, seed * 13);
+
+  // A second increment through the delta-tree path: groups now come from
+  // both the main trees and a delta tree, so every Cubetree answer goes
+  // through the re-aggregation path.
+  auto partial = MakeFacts(300, seed + 2000);
+  Provider partial_provider(&partial);
+  {
+    ASSERT_OK_AND_ASSIGN(auto d, builder.ComputeAll(Views(false),
+                                                    &partial_provider,
+                                                    "conv_p"));
+    ASSERT_OK(conv->ApplyDeltaIncremental(d.get()));
+    ASSERT_OK(d->Destroy());
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(auto d, builder.ComputeAll(Views(replicas),
+                                                    &partial_provider,
+                                                    "cbt_p"));
+    ASSERT_OK(cbt->ApplyDeltaPartial(d.get()));
+    ASSERT_OK(d->Destroy());
+  }
+  all.insert(all.end(), partial.begin(), partial.end());
+  check_queries(all, 2, seed * 17);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -601,6 +603,226 @@ TEST_F(PackedRTreeTest, PointQueryFindsExactlyOne) {
     }));
     ASSERT_EQ(found, 1u);
     ASSERT_EQ(agg, target.agg);
+  }
+}
+
+TEST_F(PackedRTreeTest, PackOrderFlagRoundTripsThroughMetaPage) {
+  auto points = MakeGridPoints(3000);
+  std::string sorted_path;
+  {
+    ASSERT_OK_AND_ASSIGN(auto tree,
+                         Build(points, 2, [](uint32_t) { return 2; }));
+    EXPECT_TRUE(tree->pack_ordered());
+    sorted_path = tree->path();
+  }
+  ASSERT_OK_AND_ASSIGN(auto sorted, PackedRTree::Open(sorted_path,
+                                                      pool_.get()));
+  EXPECT_TRUE(sorted->pack_ordered());
+
+  // A Z-ordered tree must come back unflagged, or the sorted window would
+  // skip entries of its unsorted nodes.
+  std::vector<PointRecord> z_points = points;
+  std::sort(z_points.begin(), z_points.end(),
+            [](const PointRecord& a, const PointRecord& b) {
+              return ZOrderCompare(a.coords, b.coords, 2) < 0;
+            });
+  RTreeOptions z_options;
+  z_options.enforce_pack_order = false;
+  std::string z_path;
+  {
+    ASSERT_OK_AND_ASSIGN(auto tree, Build(z_points, 2,
+                                          [](uint32_t) { return 2; },
+                                          z_options));
+    EXPECT_FALSE(tree->pack_ordered());
+    z_path = tree->path();
+  }
+  ASSERT_OK_AND_ASSIGN(auto z_tree, PackedRTree::Open(z_path, pool_.get()));
+  EXPECT_FALSE(z_tree->pack_ordered());
+  Rect query = Rect::Full(2);
+  query.lo[1] = 40;
+  query.hi[1] = 45;
+  uint64_t expected = 0;
+  for (const PointRecord& rec : points) {
+    expected += query.ContainsPoint(rec.coords, 2);
+  }
+  uint64_t found = 0;
+  ASSERT_OK(z_tree->Search(query, [&](const PointRecord&) { ++found; }));
+  EXPECT_EQ(found, expected);
+}
+
+TEST_F(PackedRTreeTest, SingleLeafTreeHonoursImplicitZeroCoordinates) {
+  // One arity-1 view in a 2-d tree fits a single leaf, which is also the
+  // root: no parent MBR keeps a query off the implicit-zero dimension, so
+  // the leaf itself must reject a box that excludes 0 there.
+  std::vector<PointRecord> points;
+  for (Coord x = 1; x <= 10; ++x) {
+    PointRecord rec;
+    rec.view_id = 1;
+    rec.coords[0] = x;
+    rec.agg = AggValue{1, 1};
+    points.push_back(rec);
+  }
+  ASSERT_OK_AND_ASSIGN(auto tree,
+                       Build(points, 2, [](uint32_t) { return 1; }));
+  ASSERT_EQ(tree->height(), 1u);
+  Rect query = Rect::Full(2);
+  uint64_t found = 0;
+  ASSERT_OK(tree->Search(query, [&](const PointRecord&) { ++found; }));
+  EXPECT_EQ(found, 10u);
+  query.lo[1] = 1;
+  found = 0;
+  SearchStats stats;
+  ASSERT_OK(tree->Search(query, [&](const PointRecord&) { ++found; },
+                         &stats));
+  EXPECT_EQ(found, 0u);
+  EXPECT_EQ(stats.points_examined, 0u);
+}
+
+// Differential test of the sorted search window: random multi-view trees
+// (arities 1..dims, plus sometimes the arity-0 view) with small node caps,
+// searched with the meta page's pack-order flag set and then cleared. Both
+// paths must emit exactly the brute-force answer, in pack order, and read
+// the same pages. Clearing the flag is also what a file written before the
+// flag existed looks like.
+TEST_F(PackedRTreeTest, SortedSearchMatchesLinearSearchAndBruteForce) {
+  struct Hit {
+    uint32_t view_id;
+    std::array<Coord, kMaxDims> coords;
+    AggValue agg;
+    bool operator==(const Hit&) const = default;
+  };
+  auto to_hit = [](const PointRecord& rec) {
+    Hit hit{rec.view_id, {}, rec.agg};
+    std::copy(rec.coords, rec.coords + kMaxDims, hit.coords.begin());
+    return hit;
+  };
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    Rng rng(7700 + round);
+    const uint8_t dims = static_cast<uint8_t>(1 + round % 5);
+    // Small domains make ties on the pack-major key common; one dimension
+    // needs a wider one to fill three levels.
+    const Coord domain =
+        static_cast<Coord>((dims == 1 ? 150 : 8) + rng.Uniform(10));
+    constexpr uint32_t kViewBase = 100;
+    std::vector<PointRecord> points;
+    if (rng.Uniform(2) == 0) {
+      PointRecord origin;
+      origin.view_id = kViewBase;
+      origin.agg = AggValue{1, 1};
+      points.push_back(origin);
+    }
+    for (uint8_t arity = 1; arity <= dims; ++arity) {
+      std::set<std::vector<Coord>> seen;
+      const uint64_t want = 20 + rng.Uniform(150);
+      for (uint64_t tries = 0; seen.size() < want && tries < 4 * want;
+           ++tries) {
+        PointRecord rec;
+        rec.view_id = kViewBase + arity;
+        for (uint8_t d = 0; d < arity; ++d) {
+          rec.coords[d] = static_cast<Coord>(1 + rng.Uniform(domain));
+        }
+        if (!seen.insert({rec.coords, rec.coords + arity}).second) continue;
+        rec.agg = AggValue{static_cast<int64_t>(rng.Uniform(1000)), 1};
+        points.push_back(rec);
+      }
+    }
+    std::sort(points.begin(), points.end(),
+              [&](const PointRecord& a, const PointRecord& b) {
+                return PackOrderCompare(a.coords, b.coords, dims) < 0;
+              });
+
+    RTreeOptions options;
+    options.max_leaf_entries = static_cast<uint16_t>(2 + rng.Uniform(5));
+    options.max_internal_entries = static_cast<uint16_t>(2 + rng.Uniform(3));
+    options.compress_leaves = rng.Uniform(4) != 0;
+    std::string path;
+    {
+      ASSERT_OK_AND_ASSIGN(
+          auto built, Build(points, dims,
+                            [](uint32_t view) -> uint8_t {
+                              return static_cast<uint8_t>(view - kViewBase);
+                            },
+                            options));
+      ASSERT_GE(built->height(), 3u);
+      path = built->path();
+    }
+
+    std::vector<Rect> queries;
+    for (int q = 0; q < 60; ++q) {
+      Rect query;
+      for (uint8_t d = 0; d < dims; ++d) {
+        Coord a = static_cast<Coord>(rng.Uniform(domain + 2));
+        Coord b = static_cast<Coord>(rng.Uniform(domain + 2));
+        query.lo[d] = std::min(a, b);
+        query.hi[d] = std::max(a, b);
+      }
+      const uint8_t d = static_cast<uint8_t>(rng.Uniform(dims));
+      switch (q % 6) {
+        case 0:  // Random box.
+          break;
+        case 1:  // Empty: lo > hi in one dimension.
+          query.lo[d] = query.hi[d] + 1;
+          break;
+        case 2:  // Degenerate: one stored point.
+          query = Rect::FromPoint(points[rng.Uniform(points.size())].coords,
+                                  dims);
+          break;
+        case 3:  // Open below.
+          for (uint8_t i = 0; i < dims; ++i) query.lo[i] = 0;
+          break;
+        case 4:  // Open above.
+          for (uint8_t i = 0; i < dims; ++i) query.hi[i] = kCoordMax;
+          break;
+        case 5:  // One dimension pinned to the implicit zero, rest full.
+          query = Rect::Full(dims);
+          query.lo[d] = query.hi[d] = 0;
+          break;
+      }
+      queries.push_back(query);
+    }
+
+    auto run_all = [&](PackedRTree* tree, std::vector<std::vector<Hit>>* hits,
+                       std::vector<SearchStats>* stats) {
+      for (const Rect& query : queries) {
+        std::vector<Hit> out;
+        SearchStats st;
+        ASSERT_OK(tree->Search(
+            query, [&](const PointRecord& rec) { out.push_back(to_hit(rec)); },
+            &st));
+        hits->push_back(std::move(out));
+        stats->push_back(st);
+      }
+    };
+    std::vector<std::vector<Hit>> sorted_hits, linear_hits;
+    std::vector<SearchStats> sorted_stats, linear_stats;
+    {
+      ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(path, pool_.get()));
+      ASSERT_TRUE(tree->pack_ordered());
+      run_all(tree.get(), &sorted_hits, &sorted_stats);
+    }
+    RewritePage(path, 0, [](char* meta) { meta[6] = 0; });
+    {
+      ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(path, pool_.get()));
+      ASSERT_FALSE(tree->pack_ordered());
+      run_all(tree.get(), &linear_hits, &linear_stats);
+    }
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE("query " + queries[q].ToString(dims));
+      std::vector<Hit> expected;
+      for (const PointRecord& rec : points) {
+        if (queries[q].ContainsPoint(rec.coords, dims)) {
+          expected.push_back(to_hit(rec));
+        }
+      }
+      ASSERT_EQ(sorted_hits[q], expected);
+      ASSERT_EQ(linear_hits[q], expected);
+      EXPECT_EQ(sorted_stats[q].internal_pages, linear_stats[q].internal_pages);
+      EXPECT_EQ(sorted_stats[q].leaf_pages, linear_stats[q].leaf_pages);
+      EXPECT_LE(sorted_stats[q].points_examined,
+                linear_stats[q].points_examined);
+      EXPECT_EQ(sorted_stats[q].points_emitted, expected.size());
+    }
   }
 }
 

@@ -6,9 +6,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "common/crc32.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "storage/checksum.h"
+#include "storage/page_manager.h"
 
 namespace cubetree {
 
@@ -56,6 +60,25 @@ inline std::string MakeTestDir(const std::string& name) {
                   << ec.message();
   }
   return dir;
+}
+
+/// Rewrites page `page_id` of the page file at `path` through
+/// `mutate(char* page_data)` and updates the file's `.crc` sidecar to
+/// match: the result reads back as a well-formed page with crafted
+/// content, not as a torn or bit-flipped one.
+template <typename Mutate>
+void RewritePage(const std::string& path, PageId page_id, Mutate mutate) {
+  auto file = PageManager::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  Page page;
+  ASSERT_OK((*file)->ReadPage(page_id, &page));
+  mutate(page.data);
+  ASSERT_OK((*file)->WritePage(page_id, page));
+  std::vector<uint32_t> crcs;
+  ASSERT_OK(LoadChecksumSidecar(path, &crcs));
+  ASSERT_LT(page_id, crcs.size());
+  crcs[page_id] = Crc32c(page.data, kPageSize);
+  ASSERT_OK(WriteChecksumSidecar(path, crcs));
 }
 
 }  // namespace cubetree
