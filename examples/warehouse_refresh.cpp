@@ -6,8 +6,8 @@
 //
 // If a previous run left a forest behind — say it was crashed mid-refresh
 // via CUBETREE_FAILPOINTS='forest.manifest.rename=crash@2' — the program
-// recovers it instead of reloading: the refresh journal is replayed,
-// half-built files are reclaimed, and the dashboard queries run against
+// recovers it instead of reloading: the half-built files of the
+// interrupted refresh are reclaimed, and the dashboard queries run against
 // whichever generation the crash left committed.
 //
 // If the volume fills mid-week (simulate with

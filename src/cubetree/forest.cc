@@ -13,7 +13,6 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <string_view>
 
 #include "check/checkers.h"
 #include "check/invariant_checker.h"
@@ -22,7 +21,6 @@
 #include "common/parallel_for.h"
 #include "cubetree/merge_pack.h"
 #include "common/timer.h"
-#include "engine/wal.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -98,45 +96,79 @@ class CancellablePointSource : public PointSource {
   uint64_t polls_ = 0;
 };
 
-/// Sets `path` aside under a ".quarantine" suffix. Best effort: a rename
-/// failure is logged, and the original path is left for a later recovery
-/// pass. Returns the new path on success.
-bool SetAsideQuarantined(const std::string& path, std::string* aside) {
-  *aside = path + ".quarantine";
-  // Not a commit point: best-effort tidying of an already-quarantined
-  // file; crash coverage lives at the manifest swap.
-  // ct-lint: allow(fault-pair)
-  if (std::rename(path.c_str(), aside->c_str()) != 0) {
-    CT_LOG(Warn) << "forest: cannot quarantine " << path << ": "
-                 << std::strerror(errno);
-    return false;
+/// A full refresh's input for one tree: the tree's main and pending delta
+/// trees merged, pairwise, with the pack-ordered increment. Owns the chain
+/// and holds the tree so the scanned files stay open.
+class MergedTreeSource : public PointSource {
+ public:
+  MergedTreeSource(std::shared_ptr<Cubetree> tree,
+                   std::unique_ptr<PointSource> increment, uint8_t dims)
+      : tree_(std::move(tree)) {
+    inputs_.push_back(std::make_unique<ScannerPointSource>(tree_->rtree()));
+    for (size_t d = 0; d < tree_->num_deltas(); ++d) {
+      inputs_.push_back(
+          std::make_unique<ScannerPointSource>(tree_->delta(d)));
+    }
+    inputs_.push_back(std::move(increment));
+    head_ = inputs_[0].get();
+    for (size_t i = 1; i < inputs_.size(); ++i) {
+      merges_.push_back(
+          std::make_unique<MergePointSource>(head_, inputs_[i].get(), dims));
+      head_ = merges_.back().get();
+    }
   }
-  return true;
-}
 
-/// Sets aside `path` and its checksum sidecar, recording the aside names
-/// for the post-rebuild cleanup. The sidecar follows its data file so a
-/// rebuilt generation never pairs with stale checksums.
+  Status Next(const PointRecord** record) override {
+    return head_->Next(record);
+  }
+
+ private:
+  std::shared_ptr<Cubetree> tree_;
+  std::vector<std::unique_ptr<PointSource>> inputs_;
+  std::vector<std::unique_ptr<MergePointSource>> merges_;
+  PointSource* head_ = nullptr;
+};
+
+/// Sets `path` and its checksum sidecar aside under a ".quarantine"
+/// suffix, recording the aside names for the post-rebuild cleanup. The
+/// sidecar follows its data file so a rebuilt generation never pairs with
+/// stale checksums. Best effort: a rename failure is logged, and the
+/// original file is left for a later recovery pass.
 void SetAsideWithSidecar(const std::string& path,
                          std::vector<std::string>* aside_files) {
-  std::string aside;
-  if (FileExists(path) && SetAsideQuarantined(path, &aside)) {
-    aside_files->push_back(aside);
-  }
-  const std::string sidecar = ChecksumSidecarPath(path);
-  if (FileExists(sidecar) && SetAsideQuarantined(sidecar, &aside)) {
-    aside_files->push_back(aside);
+  for (const std::string& file : {path, ChecksumSidecarPath(path)}) {
+    if (!FileExists(file)) continue;
+    std::string aside = file + ".quarantine";
+    // Not a commit point: best-effort tidying of an already-quarantined
+    // file; crash coverage lives at the manifest swap.
+    // ct-lint: allow(fault-pair)
+    if (std::rename(file.c_str(), aside.c_str()) != 0) {
+      CT_LOG(Warn) << "forest: cannot quarantine " << file << ": "
+                   << std::strerror(errno);
+      continue;
+    }
+    aside_files->push_back(std::move(aside));
   }
 }
 
-/// Best-effort removal of a tree file plus its checksum sidecar on refresh
-/// abort paths; failures only leave orphans for recovery's sweep.
-void RemoveTreeFileBestEffort(const std::string& path, const char* what) {
-  for (const std::string& p : {path, ChecksumSidecarPath(path)}) {
-    Status removed = RemoveFileIfExists(p);
-    if (!removed.ok()) {
-      CT_LOG(Warn) << "forest: " << what << ": " << removed.ToString();
-    }
+/// Records in `report` (if any) that tree `t`, and with it `view_ids`, was
+/// taken out of service for `why`.
+void ReportQuarantine(size_t t, const std::vector<uint32_t>& view_ids,
+                      const Status& why, ForestRecoveryReport* report) {
+  if (report == nullptr) return;
+  report->quarantined_trees.push_back(t);
+  report->quarantined_views.insert(report->quarantined_views.end(),
+                                   view_ids.begin(), view_ids.end());
+  report->notes.push_back("quarantined tree " + std::to_string(t) + ": " +
+                          why.ToString());
+}
+
+/// Best-effort removal for refresh abort and cleanup paths; a failure
+/// only leaves an orphan for the next sweep.
+void RemoveBestEffort(const std::string& path, const char* what) {
+  Status removed = RemoveFileIfExists(path);
+  if (!removed.ok()) {
+    CT_LOG(Warn) << "forest: " << what << ": " << removed.ToString();
   }
 }
 
@@ -257,10 +289,7 @@ uint64_t ForestSnapshot::TotalPoints() const {
 
 std::string ForestRecoveryReport::ToString() const {
   std::ostringstream out;
-  out << "recovery: journal="
-      << (journal_found ? (refresh_in_flight ? "in-flight" : "committed")
-                        : "none")
-      << " orphans_removed=" << removed_orphans.size()
+  out << "recovery: orphans_removed=" << removed_orphans.size()
       << " quarantined_trees=" << quarantined_trees.size();
   for (const std::string& note : notes) out << "\n  " << note;
   return out.str();
@@ -291,10 +320,6 @@ std::string CubetreeForest::DeltaPath(size_t tree_index,
 
 std::string CubetreeForest::ManifestPath() const {
   return options_.dir + "/" + options_.name + ".manifest";
-}
-
-std::string CubetreeForest::JournalPath() const {
-  return options_.dir + "/" + options_.name + ".refresh.wal";
 }
 
 std::string CubetreeForest::SerializeManifest(
@@ -382,10 +407,6 @@ Status CubetreeForest::SaveManifestDurable(
   return Status::OK();
 }
 
-Status CubetreeForest::SaveManifest() const {
-  return SaveManifestDurable(generations_, delta_generations_);
-}
-
 Status CubetreeForest::LoadManifest(bool tolerant,
                                     ForestRecoveryReport* report) {
   std::ifstream in(ManifestPath());
@@ -426,6 +447,17 @@ Status CubetreeForest::LoadManifest(bool tolerant,
     views_.push_back(v);
     if (!views_by_id_.emplace(v.id, v).second) return malformed();
   }
+  // A v2 manifest promises a sidecar for every file it names; a missing
+  // one means the file set was tampered with or torn.
+  auto open_tree =
+      [&](const std::string& path) -> Result<std::unique_ptr<PackedRTree>> {
+    CT_ASSIGN_OR_RETURN(auto rtree, PackedRTree::Open(path, pool_, io_stats_));
+    if (expect_checksums && !rtree->checksums_enabled()) {
+      return Status::Corruption("missing checksum sidecar for " +
+                                ChecksumSidecarPath(path));
+    }
+    return rtree;
+  };
   size_t num_trees = 0;
   if (!(in >> word >> num_trees) || word != "trees") return malformed();
   std::vector<Status> main_failures;
@@ -441,35 +473,23 @@ Status CubetreeForest::LoadManifest(bool tolerant,
     std::getline(in, line);
     std::istringstream ids(line);
     uint32_t vid;
-    std::vector<ViewDef> tree_views;
     while (ids >> vid) {
-      auto it = views_by_id_.find(vid);
-      if (it == views_by_id_.end()) return malformed();
+      if (!views_by_id_.contains(vid)) return malformed();
       spec.view_ids.push_back(vid);
-      tree_views.push_back(it->second);
       plan_.view_to_tree[vid] = t;
     }
     plan_.trees.push_back(std::move(spec));
     generations_.push_back(generation);
-    const std::string tree_path = TreePath(t, generation);
-    auto rtree = PackedRTree::Open(tree_path, pool_, io_stats_);
-    Status opened = rtree.status();
-    if (opened.ok() && expect_checksums &&
-        !rtree.value()->checksums_enabled()) {
-      // A v2 manifest promises a sidecar for every file it names; a
-      // missing one means the file set was tampered with or torn.
-      opened = Status::Corruption("missing checksum sidecar for " +
-                                  ChecksumSidecarPath(tree_path));
-    }
-    if (opened.ok()) {
-      trees_.push_back(std::make_shared<Cubetree>(std::move(tree_views),
-                                                  std::move(rtree).value()));
+    auto rtree = open_tree(TreePath(t, generation));
+    if (rtree.ok()) {
+      trees_.push_back(
+          std::make_shared<Cubetree>(TreeViews(t), std::move(rtree).value()));
       main_failures.push_back(Status::OK());
     } else if (tolerant) {
       trees_.push_back(nullptr);
-      main_failures.push_back(opened);
+      main_failures.push_back(rtree.status());
     } else {
-      return opened;
+      return rtree.status();
     }
   }
   delta_generations_.assign(num_trees, {});
@@ -495,20 +515,13 @@ Status CubetreeForest::LoadManifest(bool tolerant,
       continue;
     }
     delta_generations_[tree_index].push_back(generation);
-    const std::string delta_path = DeltaPath(tree_index, generation);
-    auto delta_tree = PackedRTree::Open(delta_path, pool_, io_stats_);
-    Status delta_opened = delta_tree.status();
-    if (delta_opened.ok() && expect_checksums &&
-        !delta_tree.value()->checksums_enabled()) {
-      delta_opened = Status::Corruption("missing checksum sidecar for " +
-                                        ChecksumSidecarPath(delta_path));
-    }
-    if (delta_opened.ok()) {
+    auto delta_tree = open_tree(DeltaPath(tree_index, generation));
+    if (delta_tree.ok()) {
       trees_[tree_index]->AddDelta(std::move(delta_tree).value());
     } else if (tolerant) {
-      QuarantineTree(tree_index, delta_opened, report);
+      QuarantineTree(tree_index, delta_tree.status(), report);
     } else {
-      return delta_opened;
+      return delta_tree.status();
     }
   }
   // Finish quarantining trees whose main file would not open: set aside
@@ -516,14 +529,7 @@ Status CubetreeForest::LoadManifest(bool tolerant,
   for (size_t t = 0; t < num_trees; ++t) {
     if (main_failures[t].ok()) continue;
     SetAsideWithSidecar(TreePath(t, generations_[t]), &quarantine_files_[t]);
-    if (report != nullptr) {
-      report->quarantined_trees.push_back(t);
-      for (uint32_t vid : plan_.trees[t].view_ids) {
-        report->quarantined_views.push_back(vid);
-      }
-      report->notes.push_back("quarantined tree " + std::to_string(t) +
-                              ": " + main_failures[t].ToString());
-    }
+    ReportQuarantine(t, plan_.trees[t].view_ids, main_failures[t], report);
   }
   return Status::OK();
 }
@@ -540,8 +546,7 @@ Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Open(
 
 void CubetreeForest::QuarantineTree(size_t t, const Status& why,
                                     ForestRecoveryReport* report) {
-  std::vector<std::string> paths = {TreePath(t, generations_[t])};
-  for (uint32_t g : delta_generations_[t]) paths.push_back(DeltaPath(t, g));
+  const std::vector<std::string> paths = TreeFilesLocked(t);
   // Close before renaming so the buffer pool drops the file's pages.
   trees_[t].reset();
   delta_generations_[t].clear();
@@ -549,14 +554,7 @@ void CubetreeForest::QuarantineTree(size_t t, const Status& why,
   for (const std::string& path : paths) {
     SetAsideWithSidecar(path, &quarantine_files_[t]);
   }
-  if (report != nullptr) {
-    report->quarantined_trees.push_back(t);
-    for (uint32_t vid : plan_.trees[t].view_ids) {
-      report->quarantined_views.push_back(vid);
-    }
-    report->notes.push_back("quarantined tree " + std::to_string(t) + ": " +
-                            why.ToString());
-  }
+  ReportQuarantine(t, plan_.trees[t].view_ids, why, report);
 }
 
 void CubetreeForest::RemoveOrphan(const std::string& path,
@@ -585,53 +583,20 @@ Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Recover(
   ForestRecoveryReport local_report;
   if (report == nullptr) report = &local_report;
 
-  // 1. Refresh journal: replay it (tolerantly — the crash may have torn
-  // its tail) to learn whether a refresh was in flight, then retire it.
-  // The journal is advisory; correctness rests on the atomic manifest swap
-  // plus the directory sweep below.
-  const std::string journal = forest->JournalPath();
-  if (FileExists(journal)) {
-    report->journal_found = true;
-    bool saw_commit = false;
-    auto replayed = WriteAheadLog::ReplayTolerant(
-        journal, [&saw_commit](const char* data, size_t size) {
-          if (std::string_view(data, size) == "commit") saw_commit = true;
-        });
-    if (replayed.ok()) {
-      report->journal_records = replayed->records;
-      report->refresh_in_flight = !saw_commit;
-      if (replayed->torn) {
-        report->notes.push_back(
-            "refresh journal had a torn tail (" +
-            std::to_string(replayed->torn_bytes) + " bytes discarded)");
-      }
-    } else {
-      report->refresh_in_flight = true;
-      report->notes.push_back("refresh journal unreadable: " +
-                              replayed.status().ToString());
-    }
-    forest->RemoveOrphan(journal, report);
-  }
-
-  // 2. Load the manifest, quarantining any tree that will not open. The
+  // 1. Load the manifest, quarantining any tree that will not open. The
   // forest is not yet visible to other threads; the lock covers the whole
-  // remaining recovery so the guarded state is built under it.
+  // recovery so the guarded state is built under it.
   MutexLock lock(forest->refresh_mu_);
   CT_RETURN_NOT_OK(forest->LoadManifest(/*tolerant=*/true, report));
 
-  // 3. Deep-check the trees that did open; quarantine the ones that fail
+  // 2. Deep-check the trees that did open; quarantine the ones that fail
   // their invariants (a torn page write can leave an openable but
   // inconsistent file).
   if (recover.deep_check) {
     for (size_t t = 0; t < forest->trees_.size(); ++t) {
       if (forest->trees_[t] == nullptr) continue;
-      std::vector<std::string> paths = {
-          forest->TreePath(t, forest->generations_[t])};
-      for (uint32_t g : forest->delta_generations_[t]) {
-        paths.push_back(forest->DeltaPath(t, g));
-      }
       Status verdict;
-      for (const std::string& path : paths) {
+      for (const std::string& path : forest->TreeFilesLocked(t)) {
         RTreeChecker checker(path, CheckOptions{/*deep=*/true},
                              forest->ArityFn());
         CheckReport check_report;
@@ -645,48 +610,11 @@ Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Recover(
     }
   }
 
-  // 4. Sweep the directory: any tree-generation file of this forest the
-  // manifest does not reference is the debris of an interrupted refresh
-  // (either the half-built next generation or the un-reclaimed previous
-  // one) — as is a stale manifest tmp. ".quarantine" files are kept for
-  // RebuildQuarantined.
-  std::set<std::string> live;
-  for (size_t t = 0; t < forest->trees_.size(); ++t) {
-    if (forest->trees_[t] == nullptr) continue;
-    live.insert(forest->TreePath(t, forest->generations_[t]));
-    for (uint32_t g : forest->delta_generations_[t]) {
-      live.insert(forest->DeltaPath(t, g));
-    }
-  }
-  DIR* dir = ::opendir(forest->options_.dir.c_str());
-  if (dir == nullptr) {
-    return Status::IOError("opendir " + forest->options_.dir + ": " +
-                           std::strerror(errno));
-  }
-  std::vector<std::string> orphans;
-  const std::string& name = forest->options_.name;
-  while (struct dirent* entry = ::readdir(dir)) {
-    const std::string file = entry->d_name;
-    if (!file.starts_with(name)) continue;
-    const std::string path = forest->options_.dir + "/" + file;
-    const bool tree_file =
-        file.starts_with(name + "_t") && file.ends_with(".ctr");
-    // A checksum sidecar is live exactly when its data file is: one
-    // surviving alone is debris from the same interrupted refresh.
-    const bool sidecar_file =
-        file.starts_with(name + "_t") && file.ends_with(".ctr.crc");
-    const bool sidecar_orphan =
-        sidecar_file &&
-        live.find(path.substr(0, path.size() - 4)) == live.end();
-    const bool stale_tmp = file == name + ".manifest.tmp";
-    const bool stale_journal = file == name + ".refresh.wal";
-    if ((tree_file && live.find(path) == live.end()) || sidecar_orphan ||
-        stale_tmp || stale_journal) {
-      orphans.push_back(path);
-    }
-  }
-  ::closedir(dir);
-  std::sort(orphans.begin(), orphans.end());  // deterministic GC order
+  // 3. Sweep the directory: a file the manifest does not reference is the
+  // debris of an interrupted refresh (its half-built outputs, or the
+  // un-reclaimed input of a committed one).
+  CT_ASSIGN_OR_RETURN(const std::vector<std::string> orphans,
+                      forest->OrphanFilesLocked({}));
   for (const std::string& path : orphans) {
     forest->RemoveOrphan(path, report);
   }
@@ -694,17 +622,73 @@ Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Recover(
   return forest;
 }
 
-std::vector<const ViewDef*> CubetreeForest::TreeViewsAscArity(
+std::vector<std::string> CubetreeForest::TreeFilesLocked(
     size_t tree_index) const {
-  std::vector<const ViewDef*> result;
-  for (uint32_t vid : plan_.trees[tree_index].view_ids) {
-    result.push_back(&views_by_id_.at(vid));
+  std::vector<std::string> paths = {
+      TreePath(tree_index, generations_[tree_index])};
+  for (uint32_t g : delta_generations_[tree_index]) {
+    paths.push_back(DeltaPath(tree_index, g));
   }
-  std::sort(result.begin(), result.end(),
-            [](const ViewDef* a, const ViewDef* b) {
-              return a->arity() < b->arity();
+  return paths;
+}
+
+Result<std::vector<std::string>> CubetreeForest::OrphanFilesLocked(
+    const std::set<std::string>& keep) const {
+  std::set<std::string> live = keep;
+  for (size_t t = 0; t < trees_.size(); ++t) {
+    if (trees_[t] == nullptr) continue;
+    for (std::string& path : TreeFilesLocked(t)) live.insert(std::move(path));
+  }
+  DIR* dir = ::opendir(options_.dir.c_str());
+  if (dir == nullptr) {
+    return Status::IOError("opendir " + options_.dir + ": " +
+                           std::strerror(errno));
+  }
+  std::vector<std::string> orphans;
+  const std::string& name = options_.name;
+  while (struct dirent* entry = ::readdir(dir)) {
+    const std::string file = entry->d_name;
+    const std::string path = options_.dir + "/" + file;
+    const bool tree_file =
+        file.starts_with(name + "_t") && file.ends_with(".ctr");
+    // A checksum sidecar is live exactly when its data file is: one
+    // surviving alone is debris from the same interrupted refresh.
+    const bool sidecar_file =
+        file.starts_with(name + "_t") && file.ends_with(".ctr.crc");
+    const std::string data_path =
+        sidecar_file ? path.substr(0, path.size() - 4) : path;
+    if (((tree_file || sidecar_file) && !live.contains(data_path)) ||
+        file == name + ".manifest.tmp") {
+      orphans.push_back(path);
+    }
+  }
+  ::closedir(dir);
+  std::sort(orphans.begin(), orphans.end());  // deterministic sweep order
+  return orphans;
+}
+
+std::vector<ViewDef> CubetreeForest::TreeViews(size_t tree_index) const {
+  std::vector<ViewDef> views;
+  for (uint32_t vid : plan_.trees[tree_index].view_ids) {
+    views.push_back(views_by_id_.at(vid));
+  }
+  return views;
+}
+
+Result<std::unique_ptr<PointSource>> CubetreeForest::OpenTreeSource(
+    size_t tree_index, ViewDataProvider* provider) const {
+  std::vector<ViewDef> views = TreeViews(tree_index);
+  std::sort(views.begin(), views.end(),
+            [](const ViewDef& a, const ViewDef& b) {
+              return a.arity() < b.arity();
             });
-  return result;
+  std::vector<MultiViewPointSource::ViewStream> streams;
+  for (ViewDef& view : views) {
+    CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(view));
+    streams.push_back({std::move(view), std::move(stream)});
+  }
+  return std::unique_ptr<PointSource>(
+      std::make_unique<MultiViewPointSource>(std::move(streams)));
 }
 
 std::function<uint8_t(uint32_t)> CubetreeForest::ArityFn() const {
@@ -762,137 +746,22 @@ Status CubetreeForest::Build(const std::vector<ViewDef>& views,
   quarantine_files_.assign(plan_.trees.size(), {});
 
   for (size_t t = 0; t < plan_.trees.size(); ++t) {
-    std::vector<MultiViewPointSource::ViewStream> streams;
-    for (const ViewDef* view : TreeViewsAscArity(t)) {
-      CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(*view));
-      streams.push_back({*view, std::move(stream)});
-    }
-    MultiViewPointSource source(std::move(streams));
+    CT_ASSIGN_OR_RETURN(auto source, OpenTreeSource(t, provider));
     RTreeOptions tree_options = options_.rtree;
     tree_options.dims = plan_.trees[t].dims;
     CT_ASSIGN_OR_RETURN(
         auto rtree,
-        PackedRTree::Build(TreePath(t, 0), tree_options, pool_, &source,
+        PackedRTree::Build(TreePath(t, 0), tree_options, pool_, source.get(),
                            ArityFn(), io_stats_));
-    std::vector<ViewDef> tree_views;
-    for (uint32_t vid : plan_.trees[t].view_ids) {
-      tree_views.push_back(views_by_id_.at(vid));
-    }
     trees_.push_back(
-        std::make_shared<Cubetree>(std::move(tree_views), std::move(rtree)));
+        std::make_shared<Cubetree>(TreeViews(t), std::move(rtree)));
   }
-  CT_RETURN_NOT_OK(SaveManifest());
+  CT_RETURN_NOT_OK(SaveManifestDurable(generations_, delta_generations_));
   PublishState();
   return Status::OK();
 }
 
-Result<std::unique_ptr<PointSource>> CubetreeForest::MakeDeltaSource(
-    size_t tree_index, ViewDataProvider* provider) {
-  std::vector<MultiViewPointSource::ViewStream> streams;
-  for (const ViewDef* view : TreeViewsAscArity(tree_index)) {
-    CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(*view));
-    streams.push_back({*view, std::move(stream)});
-  }
-  return std::unique_ptr<PointSource>(
-      new MultiViewPointSource(std::move(streams)));
-}
-
-namespace {
-
-/// Owns a chain of pairwise merges over N pack-ordered sources.
-class ChainedMergeSource {
- public:
-  ChainedMergeSource(std::vector<PointSource*> inputs, uint8_t dims) {
-    head_ = inputs.empty() ? nullptr : inputs[0];
-    for (size_t i = 1; i < inputs.size(); ++i) {
-      merges_.push_back(
-          std::make_unique<MergePointSource>(head_, inputs[i], dims));
-      head_ = merges_.back().get();
-    }
-  }
-
-  PointSource* head() { return head_; }
-
- private:
-  std::vector<std::unique_ptr<MergePointSource>> merges_;
-  PointSource* head_ = nullptr;
-};
-
-}  // namespace
-
-Status CubetreeForest::BuildNextGenerations(
-    ViewDataProvider* delta_provider, std::vector<uint32_t>* generations,
-    std::vector<std::unique_ptr<PackedRTree>>* new_trees) {
-  const size_t num_trees = trees_.size();
-  generations->assign(num_trees, 0);
-  new_trees->clear();
-  new_trees->resize(num_trees);
-
-  // Prepare the work list serially under refresh_mu_: providers are not
-  // thread-safe (see ViewDataProvider), and the worker lambda must not
-  // touch guarded members — it gets plain-value tasks instead, each owning
-  // its tree handle and pre-opened delta source, and writes into its own
-  // pre-sized output slot.
-  struct TreeTask {
-    std::shared_ptr<Cubetree> tree;
-    std::unique_ptr<PointSource> delta;
-    std::string path;
-    uint32_t new_generation = 0;
-    uint8_t dims = 0;
-  };
-  std::vector<TreeTask> tasks(num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    TreeTask& task = tasks[t];
-    task.tree = trees_[t];
-    CT_ASSIGN_OR_RETURN(task.delta, MakeDeltaSource(t, delta_provider));
-    task.new_generation = generations_[t] + 1;
-    task.path = TreePath(t, task.new_generation);
-    task.dims = plan_.trees[t].dims;
-  }
-
-  const auto arity_fn = ArityFn();
-  const RTreeOptions base_rtree = options_.rtree;
-  BufferPool* const pool = pool_;
-  const std::shared_ptr<IoStats> io_stats = io_stats_;
-  // Each worker builds its merge_pack spans in a private child trace and
-  // splices them back under the refresh trace when its task ends.
-  obs::TraceHandoff handoff;
-  return ParallelFor(
-      num_trees, ResolvedRefreshThreads(num_trees),
-      [&](size_t t, CancelFlag* cancel) -> Status {
-        obs::TraceHandoff::Adopt adopt(handoff);
-        TreeTask& task = tasks[t];
-        obs::Span merge_span("refresh.merge_pack");
-        merge_span.Annotate("tree", static_cast<uint64_t>(t));
-
-        // Fold any pending delta trees into the same merge-pack.
-        ScannerPointSource main_source(task.tree->rtree());
-        std::vector<std::unique_ptr<ScannerPointSource>> delta_scans;
-        std::vector<PointSource*> inputs = {&main_source};
-        for (size_t d = 0; d < task.tree->num_deltas(); ++d) {
-          delta_scans.push_back(
-              std::make_unique<ScannerPointSource>(task.tree->delta(d)));
-          inputs.push_back(delta_scans.back().get());
-        }
-        inputs.push_back(task.delta.get());
-        ChainedMergeSource chain(inputs, task.dims);
-        CancellablePointSource source(chain.head(), cancel);
-
-        RTreeOptions tree_options = base_rtree;
-        tree_options.dims = task.dims;
-        CT_ASSIGN_OR_RETURN(
-            (*new_trees)[t],
-            PackedRTree::Build(task.path, tree_options, pool, &source,
-                               arity_fn, io_stats));
-        (*generations)[t] = task.new_generation;
-        merge_span.Annotate("points", (*new_trees)[t]->num_points());
-        CT_FAULT("forest.refresh.build");
-        return Status::OK();
-      });
-}
-
-Status CubetreeForest::ApplyDelta(ViewDataProvider* delta_provider) {
-  MutexLock refresh_lock(refresh_mu_);
+Status CubetreeForest::RefreshableLocked() const {
   if (trees_.empty()) {
     return Status::InvalidArgument("forest: not built yet");
   }
@@ -900,211 +769,162 @@ Status CubetreeForest::ApplyDelta(ViewDataProvider* delta_provider) {
     return Status::Unavailable(
         "forest: quarantined trees must be rebuilt before a refresh");
   }
+  return Status::OK();
+}
 
-  // Space preflight: the refresh transiently needs the old and the new
-  // generation (plus sort runs and sidecars) on disk at once. Refuse up
-  // front with a typed, retriable StorageFull naming the shortfall rather
-  // than hit ENOSPC halfway through the merge-pack — the published epoch
-  // keeps serving either way.
-  CT_RETURN_NOT_OK(PreflightRefreshLocked(EstimateRefreshBytes(
-      TotalSizeBytesLocked(), delta_provider->EstimatedInputBytes(),
-      ResolvedRefreshThreads(trees_.size()))));
+CubetreeForest::RefreshTask CubetreeForest::NextTask(
+    size_t t, std::unique_ptr<PointSource> source, bool delta) const {
+  const uint32_t g = delta ? next_delta_generation_[t] : generations_[t] + 1;
+  return {t, std::move(source), delta ? DeltaPath(t, g) : TreePath(t, g), g,
+          delta};
+}
 
-  // Advisory journal: records that a refresh started (and whether it
-  // committed), so recovery can report an interrupted refresh. Correctness
-  // does not depend on it — the atomic manifest swap and the recovery
-  // sweep carry that.
-  CT_ASSIGN_OR_RETURN(auto journal,
-                      WriteAheadLog::Create(JournalPath(), io_stats_));
-  static constexpr char kBeginRecord[] = "begin";
-  static constexpr char kCommitRecord[] = "commit";
-  CT_FAULT("forest.journal.append");
-  CT_RETURN_NOT_OK(journal->LogRecord(kBeginRecord, sizeof(kBeginRecord) - 1));
-  CT_RETURN_NOT_OK(journal->Force());
+Status CubetreeForest::CommitGeneration(std::vector<RefreshTask> tasks,
+                                        uint64_t estimated_bytes,
+                                        const char* pack_span) {
+  // Space preflight: the refresh transiently needs its new files beside
+  // the live ones (plus sort runs and sidecars). Refuse up front with a
+  // typed, retriable StorageFull naming the shortfall rather than hit
+  // ENOSPC halfway through the pack — the published epoch keeps serving
+  // either way.
+  CT_RETURN_NOT_OK(PreflightRefreshLocked(estimated_bytes));
   CT_FAULT("forest.refresh.begin");
+  for (const RefreshTask& task : tasks) {
+    if (task.delta) next_delta_generation_[task.tree] = task.generation + 1;
+  }
 
-  // Phase 1: merge-pack every tree's next generation beside the current
-  // files. The live trees keep serving queries; nothing is mutated yet.
-  std::vector<uint32_t> new_generations;
-  std::vector<std::unique_ptr<PackedRTree>> new_trees;
-  Status phase =
-      BuildNextGenerations(delta_provider, &new_generations, &new_trees);
+  // Phase 1: pack every task's output beside the live files, one worker
+  // per task. The live trees keep serving queries; nothing is mutated
+  // yet. Workers touch only their own task and output slot, never guarded
+  // members. Each builds its pack span in a private child trace, spliced
+  // back under the refresh trace when its task ends.
+  std::vector<std::unique_ptr<PackedRTree>> built(tasks.size());
+  const auto arity_fn = ArityFn();
+  obs::TraceHandoff handoff;
+  Status status = ParallelFor(
+      tasks.size(), ResolvedRefreshThreads(tasks.size()),
+      [&](size_t i, CancelFlag* cancel) -> Status {
+        obs::TraceHandoff::Adopt adopt(handoff);
+        const RefreshTask& task = tasks[i];
+        obs::Span pack(pack_span);
+        pack.Annotate("tree", static_cast<uint64_t>(task.tree));
+        CancellablePointSource source(task.source.get(), cancel);
+        RTreeOptions tree_options = options_.rtree;
+        tree_options.dims = plan_.trees[task.tree].dims;
+        CT_ASSIGN_OR_RETURN(built[i],
+                            PackedRTree::Build(task.path, tree_options, pool_,
+                                               &source, arity_fn, io_stats_));
+        pack.Annotate("points", built[i]->num_points());
+        CT_FAULT("forest.refresh.build");
+        if (task.delta && built[i]->num_points() == 0) {
+          // Nothing in this tree's increment; drop the empty file.
+          built[i].reset();
+          CT_RETURN_NOT_OK(RemoveFileIfExists(task.path));
+          CT_RETURN_NOT_OK(RemoveChecksumSidecar(task.path));
+        }
+        return Status::OK();
+      });
+  // The inputs (and the old trees a merge scanned) are no longer needed.
+  for (RefreshTask& task : tasks) task.source.reset();
 
   // Phase 2: the durable manifest swap — the commit point.
-  if (phase.ok()) {
-    obs::Span commit_span("refresh.manifest_commit");
-    phase = SaveManifestDurable(
-        new_generations, std::vector<std::vector<uint32_t>>(trees_.size()));
+  std::vector<uint32_t> generations = generations_;
+  std::vector<std::vector<uint32_t>> deltas = delta_generations_;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    const RefreshTask& task = tasks[i];
+    if (!task.delta) {
+      generations[task.tree] = task.generation;
+      deltas[task.tree].clear();
+    } else if (built[i] != nullptr) {
+      deltas[task.tree].push_back(task.generation);
+    }
   }
-  if (!phase.ok()) {
-    // Clean abort: delete whatever phase 1 managed to build (including a
-    // partial file from a failed build) and leave the live state alone.
-    for (size_t t = 0; t < trees_.size(); ++t) {
-      const std::string path = TreePath(t, generations_[t] + 1);
-      if (t < new_trees.size()) new_trees[t].reset();
-      RemoveTreeFileBestEffort(path, "refresh abort");
+  if (status.ok()) {
+    obs::Span commit_span("refresh.manifest_commit");
+    status = SaveManifestDurable(generations, deltas);
+  }
+  if (!status.ok()) {
+    // Clean abort: delete every task's output — completed packs and the
+    // partial file of a failed or cancelled worker alike — and any
+    // unrenamed manifest draft, leaving the live state alone.
+    built.clear();
+    for (const RefreshTask& task : tasks) {
+      RemoveBestEffort(task.path, "refresh abort");
+      RemoveBestEffort(ChecksumSidecarPath(task.path), "refresh abort");
     }
-    journal.reset();
-    Status removed = RemoveFileIfExists(JournalPath());
-    if (!removed.ok()) {
-      CT_LOG(Warn) << "forest: refresh abort: " << removed.ToString();
-    }
-    return phase;
+    RemoveBestEffort(ManifestPath() + ".tmp", "refresh abort");
+    return status;
   }
 
   // Phase 3: the manifest now names the new generation — install fresh
   // Cubetree objects and publish a new epoch. The previous epoch's objects
-  // are never mutated: readers pinned to it keep serving main + deltas of
-  // the old generation until their snapshots drop, at which point the
-  // retired files are reclaimed (PublishState arms the tokens).
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    std::vector<ViewDef> tree_views;
-    for (uint32_t vid : plan_.trees[t].view_ids) {
-      tree_views.push_back(views_by_id_.at(vid));
+  // are never mutated: readers pinned to it keep serving the old trees
+  // until their snapshots drop, at which point the retired files are
+  // reclaimed (PublishState arms the tokens).
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    const size_t t = tasks[i].tree;
+    if (!tasks[i].delta) {
+      trees_[t] = std::make_shared<Cubetree>(TreeViews(t), std::move(built[i]));
+      quarantined_[t] = false;
+      // Quarantined slots were nullptr in every published epoch, so their
+      // ".quarantine" files are not epoch-tracked; remove them directly.
+      for (const std::string& path : quarantine_files_[t]) {
+        RemoveBestEffort(path, "quarantine cleanup");
+      }
+      quarantine_files_[t].clear();
+    } else if (built[i] != nullptr) {
+      // A fresh Cubetree sharing the old main and deltas plus the new one.
+      auto next = std::make_shared<Cubetree>(TreeViews(t),
+                                             trees_[t]->shared_rtree());
+      for (const auto& old_delta : trees_[t]->shared_deltas()) {
+        next->AddDelta(old_delta);
+      }
+      next->AddDelta(std::move(built[i]));
+      trees_[t] = std::move(next);
     }
-    trees_[t] = std::make_shared<Cubetree>(std::move(tree_views),
-                                           std::move(new_trees[t]));
-    delta_generations_[t].clear();
   }
-  generations_ = std::move(new_generations);
+  generations_ = std::move(generations);
+  delta_generations_ = std::move(deltas);
   CT_FAULT("forest.refresh.commit");
-  // Publishing retires the replaced generation's files; a crash between the
-  // manifest swap above and this point leaks them for recovery to sweep.
+  // Publishing retires the replaced files; a crash between the manifest
+  // swap above and this point leaks them for recovery to sweep.
   PublishState();
-
-  // Mark the journal committed and retire it. Every failure past the commit
-  // point only leaks files for recovery to sweep.
-  Status logged = journal->LogRecord(kCommitRecord, sizeof(kCommitRecord) - 1);
-  if (logged.ok()) logged = journal->Force();
-  if (!logged.ok()) {
-    CT_LOG(Warn) << "forest: refresh journal: " << logged.ToString();
-  }
-  journal.reset();
-  Status removed = RemoveFileIfExists(JournalPath());
-  if (!removed.ok()) {
-    CT_LOG(Warn) << "forest: refresh journal removal: " << removed.ToString();
-  }
   return Status::OK();
+}
+
+Status CubetreeForest::ApplyDelta(ViewDataProvider* delta_provider) {
+  MutexLock refresh_lock(refresh_mu_);
+  CT_RETURN_NOT_OK(RefreshableLocked());
+  // Merge-pack each tree's main, pending delta trees and increment into
+  // its next main generation.
+  std::vector<RefreshTask> tasks;
+  for (size_t t = 0; t < trees_.size(); ++t) {
+    CT_ASSIGN_OR_RETURN(auto increment, OpenTreeSource(t, delta_provider));
+    tasks.push_back(NextTask(
+        t,
+        std::make_unique<MergedTreeSource>(trees_[t], std::move(increment),
+                                           plan_.trees[t].dims),
+        /*delta=*/false));
+  }
+  return CommitGeneration(
+      std::move(tasks),
+      RefreshBytesLocked(RefreshKind::kApplyDelta, delta_provider),
+      "refresh.merge_pack");
 }
 
 Status CubetreeForest::ApplyDeltaPartial(ViewDataProvider* delta_provider) {
   MutexLock refresh_lock(refresh_mu_);
-  if (trees_.empty()) {
-    return Status::InvalidArgument("forest: not built yet");
-  }
-  if (HasQuarantineLocked()) {
-    return Status::Unavailable(
-        "forest: quarantined trees must be rebuilt before a refresh");
-  }
-  // A partial refresh only writes the increment (no repack of the mains),
-  // so the preflight covers the delta trees, their sort runs and sidecars.
-  CT_RETURN_NOT_OK(PreflightRefreshLocked(
-      EstimateRefreshBytes(0, delta_provider->EstimatedInputBytes(),
-                           ResolvedRefreshThreads(trees_.size()))));
-  // Phase 1: pack each tree's increment into a delta tree file, one worker
-  // per tree. The task list (streams, generation numbers) is prepared
-  // serially under refresh_mu_; workers only touch their own task and
-  // their own output slots.
-  const size_t num_trees = trees_.size();
-  std::vector<std::unique_ptr<PackedRTree>> built(num_trees);
-  std::vector<int64_t> built_generations(num_trees, -1);
-  struct DeltaTask {
-    std::unique_ptr<PointSource> delta;
-    std::string path;
-    uint32_t generation = 0;
-    uint8_t dims = 0;
-  };
-  std::vector<DeltaTask> tasks(num_trees);
-  auto prepare_all = [&]() -> Status {
-    for (size_t t = 0; t < num_trees; ++t) {
-      DeltaTask& task = tasks[t];
-      CT_ASSIGN_OR_RETURN(task.delta, MakeDeltaSource(t, delta_provider));
-      task.generation = next_delta_generation_[t]++;
-      task.path = DeltaPath(t, task.generation);
-      task.dims = plan_.trees[t].dims;
-    }
-    return Status::OK();
-  };
-  Status phase = prepare_all();
-  if (phase.ok()) {
-    const auto arity_fn = ArityFn();
-    const RTreeOptions base_rtree = options_.rtree;
-    BufferPool* const pool = pool_;
-    const std::shared_ptr<IoStats> io_stats = io_stats_;
-    obs::TraceHandoff handoff;
-    phase = ParallelFor(
-        num_trees, ResolvedRefreshThreads(num_trees),
-        [&](size_t t, CancelFlag* cancel) -> Status {
-          obs::TraceHandoff::Adopt adopt(handoff);
-          DeltaTask& task = tasks[t];
-          obs::Span delta_span("refresh.delta_pack");
-          delta_span.Annotate("tree", static_cast<uint64_t>(t));
-          CancellablePointSource source(task.delta.get(), cancel);
-          RTreeOptions tree_options = base_rtree;
-          tree_options.dims = task.dims;
-          CT_ASSIGN_OR_RETURN(
-              auto delta_tree,
-              PackedRTree::Build(task.path, tree_options, pool, &source,
-                                 arity_fn, io_stats));
-          if (delta_tree->num_points() == 0) {
-            // Nothing in this tree's increment; drop the empty file.
-            const std::string path = delta_tree->path();
-            delta_tree.reset();
-            CT_RETURN_NOT_OK(RemoveFileIfExists(path));
-            CT_RETURN_NOT_OK(RemoveChecksumSidecar(path));
-            return Status::OK();
-          }
-          built[t] = std::move(delta_tree);
-          built_generations[t] = static_cast<int64_t>(task.generation);
-          return Status::OK();
-        });
-  }
-
-  // Phase 2: commit the new delta list durably.
-  if (phase.ok()) {
-    std::vector<std::vector<uint32_t>> next_deltas = delta_generations_;
-    for (size_t t = 0; t < trees_.size(); ++t) {
-      if (built_generations[t] >= 0) {
-        next_deltas[t].push_back(static_cast<uint32_t>(built_generations[t]));
-      }
-    }
-    obs::Span commit_span("refresh.manifest_commit");
-    phase = SaveManifestDurable(generations_, next_deltas);
-  }
-  if (!phase.ok()) {
-    // Clean abort: release and remove every output the workers produced —
-    // completed delta packs and the partial file of a failed or cancelled
-    // worker alike (an unprepared task has an empty path).
-    for (size_t t = 0; t < num_trees; ++t) {
-      built[t].reset();
-      if (!tasks[t].path.empty()) {
-        RemoveTreeFileBestEffort(tasks[t].path, "partial-refresh abort");
-      }
-    }
-    return phase;
-  }
-
-  // Phase 3: attach in memory (infallible). A touched tree gets a fresh
-  // Cubetree sharing the old main and delta trees plus the new delta, so
-  // the previously published epoch stays exactly as it was.
+  CT_RETURN_NOT_OK(RefreshableLocked());
+  // Pack each tree's increment alone into a new delta tree.
+  std::vector<RefreshTask> tasks;
   for (size_t t = 0; t < trees_.size(); ++t) {
-    if (built_generations[t] < 0) continue;
-    std::vector<ViewDef> tree_views;
-    for (uint32_t vid : plan_.trees[t].view_ids) {
-      tree_views.push_back(views_by_id_.at(vid));
-    }
-    auto next_tree = std::make_shared<Cubetree>(std::move(tree_views),
-                                                trees_[t]->shared_rtree());
-    for (const auto& old_delta : trees_[t]->shared_deltas()) {
-      next_tree->AddDelta(old_delta);
-    }
-    next_tree->AddDelta(std::move(built[t]));
-    trees_[t] = std::move(next_tree);
-    delta_generations_[t].push_back(
-        static_cast<uint32_t>(built_generations[t]));
+    CT_ASSIGN_OR_RETURN(auto increment, OpenTreeSource(t, delta_provider));
+    tasks.push_back(NextTask(t, std::move(increment), /*delta=*/true));
   }
-  PublishState();
-  return Status::OK();
+  return CommitGeneration(
+      std::move(tasks),
+      RefreshBytesLocked(RefreshKind::kApplyDeltaPartial, delta_provider),
+      "refresh.delta_pack");
 }
 
 Status CubetreeForest::Compact() {
@@ -1122,106 +942,19 @@ Status CubetreeForest::Compact() {
 
 Status CubetreeForest::RebuildQuarantined(ViewDataProvider* provider) {
   MutexLock refresh_lock(refresh_mu_);
-  if (!HasQuarantineLocked()) return Status::OK();
-  std::vector<size_t> targets;
+  // Bulk-build a fresh main generation of each quarantined tree from the
+  // full view contents the provider supplies.
+  std::vector<RefreshTask> tasks;
   for (size_t t = 0; t < trees_.size(); ++t) {
-    if (quarantined_[t]) targets.push_back(t);
+    if (!quarantined_[t]) continue;
+    CT_ASSIGN_OR_RETURN(auto source, OpenTreeSource(t, provider));
+    tasks.push_back(NextTask(t, std::move(source), /*delta=*/false));
   }
-  // The rebuild writes fresh full generations of the quarantined trees
-  // from base data; preflight that footprint like any other refresh.
-  CT_RETURN_NOT_OK(PreflightRefreshLocked(
-      EstimateRefreshBytes(0, provider->EstimatedInputBytes(),
-                           ResolvedRefreshThreads(targets.size()))));
-  // Phase 1: bulk-build a fresh generation of each quarantined tree from
-  // the full view contents the provider supplies. Streams open serially
-  // (providers are not thread-safe); the builds fan out one per tree.
-  std::vector<std::unique_ptr<PackedRTree>> built(trees_.size());
-  std::vector<uint32_t> new_generations = generations_;
-  struct RebuildTask {
-    size_t t = 0;
-    std::unique_ptr<MultiViewPointSource> source;
-    std::string path;
-    uint32_t generation = 0;
-    uint8_t dims = 0;
-  };
-  std::vector<RebuildTask> tasks(targets.size());
-  auto prepare_all = [&]() -> Status {
-    for (size_t i = 0; i < targets.size(); ++i) {
-      const size_t t = targets[i];
-      std::vector<MultiViewPointSource::ViewStream> streams;
-      for (const ViewDef* view : TreeViewsAscArity(t)) {
-        CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(*view));
-        streams.push_back({*view, std::move(stream)});
-      }
-      RebuildTask& task = tasks[i];
-      task.t = t;
-      task.source =
-          std::make_unique<MultiViewPointSource>(std::move(streams));
-      task.generation = generations_[t] + 1;
-      task.path = TreePath(t, task.generation);
-      task.dims = plan_.trees[t].dims;
-    }
-    return Status::OK();
-  };
-  Status phase = prepare_all();
-  if (phase.ok()) {
-    const auto arity_fn = ArityFn();
-    const RTreeOptions base_rtree = options_.rtree;
-    BufferPool* const pool = pool_;
-    const std::shared_ptr<IoStats> io_stats = io_stats_;
-    obs::TraceHandoff handoff;
-    phase = ParallelFor(
-        tasks.size(), ResolvedRefreshThreads(tasks.size()),
-        [&](size_t i, CancelFlag* cancel) -> Status {
-          obs::TraceHandoff::Adopt adopt(handoff);
-          RebuildTask& task = tasks[i];
-          obs::Span rebuild_span("refresh.rebuild_pack");
-          rebuild_span.Annotate("tree", static_cast<uint64_t>(task.t));
-          CancellablePointSource source(task.source.get(), cancel);
-          RTreeOptions tree_options = base_rtree;
-          tree_options.dims = task.dims;
-          CT_ASSIGN_OR_RETURN(
-              built[task.t],
-              PackedRTree::Build(task.path, tree_options, pool, &source,
-                                 arity_fn, io_stats));
-          new_generations[task.t] = task.generation;
-          return Status::OK();
-        });
-  }
-  if (phase.ok()) {
-    phase = SaveManifestDurable(new_generations, delta_generations_);
-  }
-  if (!phase.ok()) {
-    for (size_t t : targets) {
-      const std::string path = TreePath(t, generations_[t] + 1);
-      built[t].reset();
-      RemoveTreeFileBestEffort(path, "rebuild abort");
-    }
-    return phase;
-  }
-  for (size_t t : targets) {
-    std::vector<ViewDef> tree_views;
-    for (uint32_t vid : plan_.trees[t].view_ids) {
-      tree_views.push_back(views_by_id_.at(vid));
-    }
-    trees_[t] =
-        std::make_shared<Cubetree>(std::move(tree_views), std::move(built[t]));
-    quarantined_[t] = false;
-  }
-  generations_ = std::move(new_generations);
-  // Quarantined slots were nullptr in every published epoch, so the
-  // ".quarantine" files are not epoch-tracked; remove them directly.
-  for (size_t t : targets) {
-    for (const std::string& path : quarantine_files_[t]) {
-      Status removed = RemoveFileIfExists(path);
-      if (!removed.ok()) {
-        CT_LOG(Warn) << "forest: quarantine cleanup: " << removed.ToString();
-      }
-    }
-    quarantine_files_[t].clear();
-  }
-  PublishState();
-  return Status::OK();
+  if (tasks.empty()) return Status::OK();
+  return CommitGeneration(
+      std::move(tasks),
+      RefreshBytesLocked(RefreshKind::kRebuildQuarantined, provider),
+      "refresh.rebuild_pack");
 }
 
 Result<bool> CubetreeForest::QuarantineForCorruption(
@@ -1235,14 +968,13 @@ Result<bool> CubetreeForest::QuarantineForCorruption(
   const size_t t = it->second;
   if (quarantined_[t]) return false;
   if (!file_path.empty()) {
-    bool still_live = TreePath(t, generations_[t]) == file_path;
-    for (uint32_t g : delta_generations_[t]) {
-      still_live = still_live || DeltaPath(t, g) == file_path;
-    }
     // The corrupt file already left the live generation (a refresh
     // replaced it since the caller read from it); its epoch dies with the
     // last snapshot pinning it, so there is nothing left to repair.
-    if (!still_live) return false;
+    const std::vector<std::string> live = TreeFilesLocked(t);
+    if (std::find(live.begin(), live.end(), file_path) == live.end()) {
+      return false;
+    }
   }
   CT_LOG(Warn) << "forest: quarantining tree " << t << " for corruption: "
                << why.ToString();
@@ -1349,48 +1081,19 @@ uint64_t CubetreeForest::ReclaimSpace() {
 }
 
 uint64_t CubetreeForest::ReclaimSpaceLocked() {
-  // Same classification as Recover's step-4 sweep, with one extra guard:
-  // a file with a live TrackedFile token is referenced by some epoch —
-  // possibly a retired one a reader still pins — and must survive. The GC
-  // counters are left alone; they describe the deferred-unlink backlog,
-  // not this sweep.
-  std::set<std::string> keep;
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    if (trees_[t] == nullptr) continue;
-    keep.insert(TreePath(t, generations_[t]));
-    for (uint32_t g : delta_generations_[t]) {
-      keep.insert(DeltaPath(t, g));
-    }
-  }
+  // Recovery's orphan classifier, with one extra guard: a file with a live
+  // TrackedFile token is referenced by some epoch — possibly a retired one
+  // a reader still pins — and must survive. The GC counters are left
+  // alone; they describe the deferred-unlink backlog, not this sweep.
+  std::set<std::string> tracked;
   {
     MutexLock gc_lock(gc_->mu);
-    keep.insert(gc_->tracked_paths.begin(), gc_->tracked_paths.end());
+    tracked = gc_->tracked_paths;
   }
-  DIR* dir = ::opendir(options_.dir.c_str());
-  if (dir == nullptr) return 0;
-  std::vector<std::string> sweep;
-  const std::string& name = options_.name;
-  while (struct dirent* entry = ::readdir(dir)) {
-    const std::string file = entry->d_name;
-    if (!file.starts_with(name)) continue;
-    const std::string path = options_.dir + "/" + file;
-    const bool tree_file =
-        file.starts_with(name + "_t") && file.ends_with(".ctr");
-    const bool sidecar_file =
-        file.starts_with(name + "_t") && file.ends_with(".ctr.crc");
-    const bool sidecar_orphan =
-        sidecar_file &&
-        keep.find(path.substr(0, path.size() - 4)) == keep.end();
-    const bool stale_tmp = file == name + ".manifest.tmp";
-    if ((tree_file && keep.find(path) == keep.end()) || sidecar_orphan ||
-        stale_tmp) {
-      sweep.push_back(path);
-    }
-  }
-  ::closedir(dir);
-  std::sort(sweep.begin(), sweep.end());  // deterministic sweep order
+  auto sweep = OrphanFilesLocked(tracked);
+  if (!sweep.ok()) return 0;
   uint64_t reclaimed = 0;
-  for (const std::string& path : sweep) {
+  for (const std::string& path : *sweep) {
     struct stat st;
     const uint64_t bytes =
         ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
@@ -1415,9 +1118,25 @@ unsigned CubetreeForest::ResolvedRefreshThreads(size_t num_tasks) const {
       std::min<size_t>(std::max(configured, 1u), num_tasks));
 }
 
-unsigned CubetreeForest::RefreshConcurrency() const {
+uint64_t CubetreeForest::RefreshBytes(RefreshKind kind,
+                                      const ViewDataProvider* input) const {
   MutexLock lock(refresh_mu_);
-  return ResolvedRefreshThreads(trees_.size());
+  return RefreshBytesLocked(kind, input);
+}
+
+uint64_t CubetreeForest::RefreshBytesLocked(
+    RefreshKind kind, const ViewDataProvider* input) const {
+  // A merge-pack rewrites every live tree beside its current generation; a
+  // partial refresh packs only the increment; a rebuild packs the
+  // quarantined trees, whose old files are already set aside.
+  const uint64_t live =
+      kind == RefreshKind::kApplyDelta ? TotalSizeBytesLocked() : 0;
+  const size_t packs = kind == RefreshKind::kRebuildQuarantined
+                           ? NumQuarantinedTreesLocked()
+                           : trees_.size();
+  return EstimateRefreshBytes(
+      live, input == nullptr ? 0 : input->EstimatedInputBytes(),
+      ResolvedRefreshThreads(packs));
 }
 
 Status CubetreeForest::PreflightRefreshLocked(uint64_t estimated_bytes) {
@@ -1451,7 +1170,7 @@ void CubetreeForest::PublishState() {
   using forest_internal::TrackedFile;
   obs::Span publish_span("refresh.publish");
   Timer publish_timer;
-  std::shared_ptr<EpochState> old = published_.load(std::memory_order_acquire);
+  std::shared_ptr<EpochState> old = LoadPublished();
   auto next = std::make_shared<EpochState>();
   next->epoch = next_epoch_++;
   next->gc = gc_;
@@ -1486,7 +1205,9 @@ void CubetreeForest::PublishState() {
   }
   if (old != nullptr) old->retired.store(true, std::memory_order_relaxed);
   const uint64_t published_epoch = next->epoch;
-  published_.store(std::move(next), std::memory_order_release);
+  // The outgoing state stays alive in `old`, so nothing is destroyed under
+  // the publish lock.
+  SwapPublished(std::move(next));
   // Retire files the new generation dropped — after the swap, so a
   // throw/crash injected at the GC failpoint leaves the commit published
   // (files then leak to recovery, exactly as a crash between commit and GC
@@ -1504,8 +1225,21 @@ void CubetreeForest::PublishState() {
   live_epoch->Set(static_cast<int64_t>(published_epoch));
 }
 
+std::shared_ptr<forest_internal::EpochState> CubetreeForest::LoadPublished()
+    const {
+  MutexLock lock(published_mu_);
+  return published_;
+}
+
+std::shared_ptr<forest_internal::EpochState> CubetreeForest::SwapPublished(
+    std::shared_ptr<forest_internal::EpochState> next) {
+  MutexLock lock(published_mu_);
+  published_.swap(next);
+  return next;
+}
+
 ForestSnapshot CubetreeForest::AcquireSnapshot() const {
-  return ForestSnapshot(published_.load(std::memory_order_acquire));
+  return ForestSnapshot(LoadPublished());
 }
 
 ForestGcStats CubetreeForest::GcStats() const {
@@ -1520,7 +1254,7 @@ ForestGcStats CubetreeForest::GcStats() const {
 
 std::vector<std::string> CubetreeForest::LiveFiles() const {
   std::vector<std::string> paths;
-  auto state = published_.load(std::memory_order_acquire);
+  auto state = LoadPublished();
   if (state == nullptr) return paths;
   paths.reserve(state->files.size());
   for (const auto& file : state->files) paths.push_back(file->path());
@@ -1532,7 +1266,7 @@ Status CubetreeForest::Destroy() {
   // Drop the published epoch first (snapshots must already be released per
   // the API contract); its tokens are unretired, so this deletes nothing —
   // the explicit removal below does.
-  published_.store(nullptr, std::memory_order_release);
+  SwapPublished(nullptr);
   for (auto& tree : trees_) {
     if (!tree) continue;
     std::vector<std::string> paths = {tree->rtree()->path()};
@@ -1554,7 +1288,6 @@ Status CubetreeForest::Destroy() {
   quarantine_files_.clear();
   quarantined_.clear();
   CT_RETURN_NOT_OK(RemoveFileIfExists(ManifestPath() + ".tmp"));
-  CT_RETURN_NOT_OK(RemoveFileIfExists(JournalPath()));
   return RemoveFileIfExists(ManifestPath());
 }
 

@@ -101,10 +101,11 @@ struct EpochState {
 /// A refcounted handle pinning one committed forest generation. Queries run
 /// against a snapshot see that generation's trees — never a mix of pre- and
 /// post-refresh state — no matter how many refreshes commit while they run.
-/// Acquiring costs one atomic shared_ptr load; releasing the last handle of
-/// a retired generation reclaims its replaced tree files. Snapshots may
-/// outlive the forest's mutators but must be released before the forest and
-/// its BufferPool are destroyed (the trees read through that pool).
+/// Acquiring costs one shared_ptr copy under a leaf mutex; releasing the
+/// last handle of a retired generation reclaims its replaced tree files.
+/// Snapshots may outlive the forest's mutators but must be released before
+/// the forest and its BufferPool are destroyed (the trees read through that
+/// pool).
 class ForestSnapshot {
  public:
   ForestSnapshot() = default;
@@ -137,13 +138,9 @@ class ForestSnapshot {
 /// itself either succeeds (possibly with quarantined trees) or returns an
 /// error for genuinely unreadable state (e.g. a corrupt manifest).
 struct ForestRecoveryReport {
-  /// A refresh journal was present on disk (a refresh was interrupted).
-  bool journal_found = false;
-  /// The journal recorded a refresh begin without a matching commit.
-  bool refresh_in_flight = false;
-  uint64_t journal_records = 0;
-  /// Files recovery deleted: stale manifest tmp, tree generations no
-  /// manifest references, leftover journal.
+  /// Files recovery deleted: stale manifest tmp and tree generations no
+  /// manifest references. An interrupted refresh shows up here as its
+  /// uncommitted `_g{k+1}` / `_d*` outputs.
   std::vector<std::string> removed_orphans;
   /// Indices of trees recovery had to take out of service (unopenable or
   /// failed their invariant check); their files were renamed aside with a
@@ -156,8 +153,7 @@ struct ForestRecoveryReport {
   std::vector<std::string> notes;
 
   bool clean() const {
-    return !journal_found && removed_orphans.empty() &&
-           quarantined_trees.empty();
+    return removed_orphans.empty() && quarantined_trees.empty();
   }
   std::string ToString() const;
 };
@@ -168,8 +164,9 @@ struct ForestRecoveryReport {
 /// streams, and refreshes all trees by merge-packing sorted deltas.
 ///
 /// Concurrency model: every committed state is published as an immutable
-/// generation (EpochState) behind one atomic shared_ptr. Readers call
-/// AcquireSnapshot() — wait-free, one atomic load — and query the pinned
+/// generation (EpochState) behind one shared_ptr. Readers call
+/// AcquireSnapshot() — one pointer copy under a leaf mutex that is never
+/// held across I/O or a state's construction — and query the pinned
 /// generation while refreshes build and commit the next one off to the
 /// side; mutators (ApplyDelta/ApplyDeltaPartial/Compact/RebuildQuarantined)
 /// serialize on an internal mutex. Files replaced by a refresh are retired,
@@ -246,15 +243,15 @@ class CubetreeForest {
     RecoverOptions() : deep_check(true) {}
   };
 
-  /// Crash-recovery variant of Open. Replays and retires the refresh
-  /// journal, removes the stale manifest tmp and any tree-generation files
-  /// the manifest does not reference (the half-built output of an
-  /// interrupted refresh, or the un-reclaimed input of a committed one),
-  /// and quarantines trees that cannot be opened or fail their invariant
-  /// check — renaming their files aside with a ".quarantine" suffix so the
-  /// forest stays queryable on the surviving trees. Recovery is
-  /// idempotent: crashing inside Recover and running it again converges to
-  /// the same state. Only a missing or corrupt manifest is an error.
+  /// Crash-recovery variant of Open. Removes the stale manifest tmp and
+  /// any tree-generation files the manifest does not reference (the
+  /// half-built output of an interrupted refresh, or the un-reclaimed
+  /// input of a committed one), and quarantines trees that cannot be
+  /// opened or fail their invariant check — renaming their files aside
+  /// with a ".quarantine" suffix so the forest stays queryable on the
+  /// surviving trees. Recovery is idempotent: crashing inside Recover and
+  /// running it again converges to the same state. Only a missing or
+  /// corrupt manifest is an error.
   static Result<std::unique_ptr<CubetreeForest>> Recover(
       Options options, BufferPool* pool,
       std::shared_ptr<IoStats> io_stats = nullptr,
@@ -347,16 +344,21 @@ class CubetreeForest {
   /// Total stored points across all trees.
   uint64_t TotalPoints() const EXCLUDES(refresh_mu_);
 
-  /// The worker-pool width a refresh of the current forest would use:
-  /// options_.refresh_threads (or the CUBETREE_REFRESH_THREADS /
-  /// hardware_concurrency default) capped at the number of trees. The
-  /// disk-space preflight and the engine's admission estimates use this so
-  /// the reserved temp space covers every concurrent packer.
-  unsigned RefreshConcurrency() const EXCLUDES(refresh_mu_);
+  enum class RefreshKind {
+    kApplyDelta,  // Also Compact: an ApplyDelta with an empty increment.
+    kApplyDeltaPartial,
+    kRebuildQuarantined,
+  };
+  /// Disk bytes a refresh of `kind` over `input` (nullptr = empty) would
+  /// transiently need: EstimateRefreshBytes over the trees that kind
+  /// repacks and the workers it runs. The refresh's own preflight checks
+  /// the same figure; the engine's degraded-mode gate admits on it.
+  uint64_t RefreshBytes(RefreshKind kind, const ViewDataProvider* input) const
+      EXCLUDES(refresh_mu_);
 
-  /// Pins the currently published generation. Wait-free; safe to call from
-  /// any thread concurrently with refreshes. Returns an invalid snapshot
-  /// only before the first Build/Open publishes a generation.
+  /// Pins the currently published generation. Safe to call from any thread
+  /// concurrently with refreshes. Returns an invalid snapshot only before
+  /// the first Build/Open publishes a generation.
   ForestSnapshot AcquireSnapshot() const;
 
   /// Snapshot-layer GC counters (epochs pinned, files awaiting reclaim).
@@ -389,7 +391,6 @@ class CubetreeForest {
   std::string TreePath(size_t tree_index, uint32_t generation) const;
   std::string DeltaPath(size_t tree_index, uint32_t generation) const;
   std::string ManifestPath() const;
-  std::string JournalPath() const;
   /// Serializes the manifest for the given generation vectors (state is
   /// passed in, not read from members, so the commit protocol can write
   /// the next state before mutating the in-memory one).
@@ -402,7 +403,6 @@ class CubetreeForest {
   Status SaveManifestDurable(
       const std::vector<uint32_t>& generations,
       const std::vector<std::vector<uint32_t>>& delta_generations) const;
-  Status SaveManifest() const REQUIRES(refresh_mu_);
   /// Parses the manifest and opens every tree. In tolerant mode an
   /// unopenable tree is quarantined instead of failing the load.
   Status LoadManifest(bool tolerant, ForestRecoveryReport* report)
@@ -411,26 +411,64 @@ class CubetreeForest {
   /// with a ".quarantine" suffix, and records the event.
   void QuarantineTree(size_t t, const Status& why,
                       ForestRecoveryReport* report) REQUIRES(refresh_mu_);
-  /// Phase 1 of ApplyDelta: merge-pack every tree's next generation beside
-  /// the current files, without touching any live state.
-  Status BuildNextGenerations(
-      ViewDataProvider* delta_provider, std::vector<uint32_t>* generations,
-      std::vector<std::unique_ptr<PackedRTree>>* new_trees)
-      REQUIRES(refresh_mu_);
   /// Deletes files recovery identified as orphans, consulting the
   /// forest.recover.gc failpoint per file.
   void RemoveOrphan(const std::string& path, ForestRecoveryReport* report);
-  /// Builds the pack-ordered point source over one tree's delta streams.
-  Result<std::unique_ptr<PointSource>> MakeDeltaSource(
-      size_t tree_index, ViewDataProvider* provider);
-  /// Views of tree `i` in ascending arity = pack order of their regions.
-  std::vector<const ViewDef*> TreeViewsAscArity(size_t tree_index) const;
+  /// Paths of tree `i`'s live main and pending delta files.
+  std::vector<std::string> TreeFilesLocked(size_t tree_index) const
+      REQUIRES(refresh_mu_);
+  /// The orphan classifier Recover and ReclaimSpace share: this forest's
+  /// tree files and sidecars that neither a healthy live tree nor `keep`
+  /// references, plus a stale manifest tmp. ".quarantine" files never
+  /// match. Sorted, for a deterministic sweep order.
+  Result<std::vector<std::string>> OrphanFilesLocked(
+      const std::set<std::string>& keep) const REQUIRES(refresh_mu_);
+  /// Tree `i`'s ViewDef list, in plan order.
+  std::vector<ViewDef> TreeViews(size_t tree_index) const;
+  /// Opens the provider's streams for tree `i`'s views as one pack-ordered
+  /// source (views in ascending arity).
+  Result<std::unique_ptr<PointSource>> OpenTreeSource(
+      size_t tree_index, ViewDataProvider* provider) const;
   std::function<uint8_t(uint32_t)> ArityFn() const;
+
+  /// One tree's share of a refresh: pack `source` into `path`, which
+  /// becomes tree `tree`'s main generation `generation` or, when `delta`
+  /// is set, its pending delta tree `generation` (dropped if empty).
+  struct RefreshTask {
+    size_t tree = 0;
+    std::unique_ptr<PointSource> source;
+    std::string path;
+    uint32_t generation = 0;
+    bool delta = false;
+  };
+  /// The task writing tree `t`'s next main generation (or next delta).
+  RefreshTask NextTask(size_t t, std::unique_ptr<PointSource> source,
+                       bool delta) const REQUIRES(refresh_mu_);
+  /// InvalidArgument before Build, Unavailable while a tree is quarantined.
+  Status RefreshableLocked() const REQUIRES(refresh_mu_);
+  uint64_t RefreshBytesLocked(RefreshKind kind,
+                              const ViewDataProvider* input) const
+      REQUIRES(refresh_mu_);
+  /// The generation transaction every refresh kind runs: preflight
+  /// `estimated_bytes`, pack all tasks in parallel (one `pack_span` each),
+  /// commit the manifest durably, then install and publish. Any failure
+  /// before the commit deletes every task's output and the manifest draft
+  /// and leaves the published state untouched.
+  Status CommitGeneration(std::vector<RefreshTask> tasks,
+                          uint64_t estimated_bytes, const char* pack_span)
+      REQUIRES(refresh_mu_);
   /// Publishes the current in-memory state as the next generation: copies
   /// the tree set into a fresh EpochState, carries over file-reclamation
   /// tokens for files still live, retires tokens for files this generation
   /// dropped, and swaps the atomic pointer.
   void PublishState() REQUIRES(refresh_mu_);
+  std::shared_ptr<forest_internal::EpochState> LoadPublished() const
+      EXCLUDES(published_mu_);
+  /// Installs `next` as the serving generation and returns the outgoing
+  /// one, so the caller releases it outside the lock.
+  std::shared_ptr<forest_internal::EpochState> SwapPublished(
+      std::shared_ptr<forest_internal::EpochState> next)
+      EXCLUDES(published_mu_);
   /// Disk-space preflight for a refresh estimated at `estimated_bytes`:
   /// probe the volume, and when short first run the online reclaim sweep
   /// and re-probe. StorageFull (typed, retriable, naming the shortfall)
@@ -471,16 +509,20 @@ class CubetreeForest {
       GUARDED_BY(refresh_mu_);
 
   /// Serializes mutators (refresh, compaction, rebuild, destroy) against
-  /// each other; snapshot readers never take it (they go through the
-  /// atomic `published_`). Lock order: refresh_mu_ before gc_->mu, never
-  /// the reverse.
+  /// each other; snapshot readers never take it (they go through
+  /// `published_mu_`). Lock order: refresh_mu_ before gc_->mu and before
+  /// published_mu_; published_mu_ is a leaf.
   mutable Mutex refresh_mu_;
   std::shared_ptr<forest_internal::GcShared> gc_ =
       std::make_shared<forest_internal::GcShared>();
-  /// The serving generation; AcquireSnapshot loads it, PublishState swaps
+  /// Held only to copy or swap `published_`. A mutex rather than
+  /// std::atomic<shared_ptr>, for the reason obs::TraceRing gives.
+  mutable Mutex published_mu_;
+  /// The serving generation; AcquireSnapshot copies it, PublishState swaps
   /// it. Held non-const so PublishState can flag the outgoing state
   /// retired; snapshots only ever see it const.
-  std::atomic<std::shared_ptr<forest_internal::EpochState>> published_;
+  std::shared_ptr<forest_internal::EpochState> published_
+      GUARDED_BY(published_mu_);
   uint64_t next_epoch_ GUARDED_BY(refresh_mu_) = 1;
 };
 

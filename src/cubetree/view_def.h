@@ -63,7 +63,8 @@ inline size_t ViewRecordBytes(uint8_t arity) {
 
 inline void EncodeViewRecord(char* dst, const Coord* coords, uint8_t arity,
                              const AggValue& agg) {
-  std::memcpy(dst, coords, static_cast<size_t>(arity) * sizeof(Coord));
+  // The arity-0 view may pass null coords; memcpy forbids null even at 0.
+  if (arity != 0) std::memcpy(dst, coords, arity * sizeof(Coord));
   char* p = dst + static_cast<size_t>(arity) * sizeof(Coord);
   EncodeFixed64(p, static_cast<uint64_t>(agg.sum));
   EncodeFixed32(p + 8, agg.count);
@@ -71,7 +72,7 @@ inline void EncodeViewRecord(char* dst, const Coord* coords, uint8_t arity,
 
 inline void DecodeViewRecord(const char* src, uint8_t arity, Coord* coords,
                              AggValue* agg) {
-  std::memcpy(coords, src, static_cast<size_t>(arity) * sizeof(Coord));
+  if (arity != 0) std::memcpy(coords, src, arity * sizeof(Coord));
   const char* p = src + static_cast<size_t>(arity) * sizeof(Coord);
   agg->sum = static_cast<int64_t>(DecodeFixed64(p));
   agg->count = DecodeFixed32(p + 8);
@@ -88,6 +89,30 @@ inline int ViewRecordCompare(const char* a, const char* b, uint8_t arity) {
     if (ca > cb) return 1;
   }
   return 0;
+}
+
+/// The pack-order cost model, shared by the router and the replica-miss
+/// scorer: `rows` scaled by how well a view's sort order prunes a query.
+/// `selectivity(i)` is the query's selectivity on projection position i,
+/// in (0, 1] (1 = unconstrained). Packing sorts by (last attr, ...,
+/// first attr), so constrained attributes forming a suffix of the
+/// projection list prune contiguous leaf ranges at their full
+/// selectivity; every other constrained attribute prunes only partially
+/// via MBRs and is credited a halving.
+template <typename Selectivity>
+double PackOrderCost(double rows, size_t arity,
+                     const Selectivity& selectivity) {
+  size_t i = arity;
+  while (i > 0) {
+    const double s = selectivity(i - 1);
+    if (s >= 1.0) break;
+    rows *= s;
+    --i;
+  }
+  for (size_t j = 0; j < i; ++j) {
+    if (selectivity(j) < 1.0) rows /= 2.0;
+  }
+  return rows;
 }
 
 }  // namespace cubetree

@@ -164,6 +164,12 @@ class ReplicaRepairProvider : public CubetreeForest::ViewDataProvider {
         it->second.first, it->second.second));
   }
 
+  uint64_t EstimatedInputBytes() const override {
+    uint64_t total = 0;
+    for (const auto& [id, buffer] : buffers_) total += buffer.first.size();
+    return total;
+  }
+
  private:
   std::map<uint32_t, std::pair<std::vector<char>, size_t>> buffers_;
 };
@@ -201,13 +207,9 @@ Result<std::unique_ptr<CubetreeEngine>> CubetreeEngine::Recover(
 }
 
 Status CubetreeEngine::RebuildQuarantined(ComputedViews* data) {
-  if (forest_ == nullptr) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
   CT_RETURN_NOT_OK(
-      GatedWrite(EstimateRefreshBytes(0, data->EstimatedInputBytes(),
-                                      forest_->RefreshConcurrency()),
-                 [&] { return forest_->RebuildQuarantined(data); }));
+      GatedRefresh(CubetreeForest::RefreshKind::kRebuildQuarantined, data,
+                   [&] { return forest_->RebuildQuarantined(data); }));
   CT_ASSIGN_OR_RETURN(view_rows_, forest_->CountPointsPerView());
   return Status::OK();
 }
@@ -222,27 +224,19 @@ Status CubetreeEngine::RepairFromReplicas() {
   if (!snapshot.valid()) {
     return Status::InvalidArgument("cubetree engine: not loaded");
   }
-  const std::vector<ViewDef>& views = forest_->views();
   ReplicaRepairProvider provider;
   size_t repaired_views = 0;
-  for (const ViewDef& view : views) {
+  for (const ViewDef& view : forest_->views()) {
     if (!snapshot.IsViewQuarantined(view.id)) continue;
-    // Source selection mirrors routing: the cheapest healthy view whose
-    // attribute set covers the lost view's — a same-set replica rebuilds
-    // 1:1, a superset re-aggregates down.
-    const ViewDef* source = nullptr;
-    uint64_t source_rows = 0;
-    for (const ViewDef& cand : views) {
-      if (cand.id == view.id || snapshot.IsViewQuarantined(cand.id)) continue;
-      if (!cand.Covers(view.AttrMask())) continue;
-      auto it = view_rows_.find(cand.id);
-      const uint64_t rows =
-          it == view_rows_.end() ? UINT64_MAX : std::max<uint64_t>(it->second, 1);
-      if (source == nullptr || rows < source_rows) {
-        source = &cand;
-        source_rows = rows;
-      }
-    }
+    // The source is what the router picks for a full scan of the lost
+    // view: the cheapest healthy covering view — a same-set replica
+    // rebuilds 1:1, a superset re-aggregates down.
+    SliceQuery scan;
+    scan.node_mask = view.AttrMask();
+    scan.attrs = view.attrs;
+    scan.bindings.assign(view.attrs.size(), std::nullopt);
+    AttemptInfo routed;
+    const ViewDef* source = Route(snapshot, scan, &routed);
     if (source == nullptr) {
       return Status::Unavailable("replica repair: no healthy view covers " +
                                  view.Name(schema_));
@@ -300,8 +294,10 @@ Status CubetreeEngine::RepairFromReplicas() {
   // Drop the pin before the rebuild publishes new generations, so the
   // quarantined files it retires can be reclaimed promptly.
   snapshot.Release();
-  CT_RETURN_NOT_OK(GatedWrite(
-      0, [&] { return forest_->RebuildQuarantined(&provider); }));
+  CT_RETURN_NOT_OK(
+      GatedRefresh(CubetreeForest::RefreshKind::kRebuildQuarantined,
+                   &provider,
+                   [&] { return forest_->RebuildQuarantined(&provider); }));
   CT_ASSIGN_OR_RETURN(view_rows_, forest_->CountPointsPerView());
   static obs::Counter* const repairs =
       obs::MetricsRegistry::Instance().GetCounter("engine.replica_repairs");
@@ -328,10 +324,15 @@ Status CubetreeEngine::Load(const std::vector<ViewDef>& views,
   return Status::OK();
 }
 
-Status CubetreeEngine::GatedWrite(uint64_t estimated_bytes,
-                                  const std::function<Status()>& write) {
-  CT_RETURN_NOT_OK(degraded_.AdmitWrite(estimated_bytes));
-  Status status = write();
+Status CubetreeEngine::GatedRefresh(
+    CubetreeForest::RefreshKind kind,
+    const CubetreeForest::ViewDataProvider* input,
+    const std::function<Status()>& refresh) {
+  if (forest_ == nullptr) {
+    return Status::InvalidArgument("cubetree engine: not loaded");
+  }
+  CT_RETURN_NOT_OK(degraded_.AdmitWrite(forest_->RefreshBytes(kind, input)));
+  Status status = refresh();
   // A StorageFull that slipped past the preflight (the volume filled while
   // the refresh ran) flips the engine read-only; queries keep serving the
   // still-published epoch.
@@ -340,34 +341,22 @@ Status CubetreeEngine::GatedWrite(uint64_t estimated_bytes,
 }
 
 Status CubetreeEngine::ApplyDelta(ComputedViews* delta) {
-  if (forest_ == nullptr) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
   // Per-view row counts are not tracked inside the trees after a merge;
   // the stale counts only influence the routing heuristic, which stays
   // stable under proportional growth.
-  return GatedWrite(EstimateRefreshBytes(forest_->TotalSizeBytes(),
-                                         delta->EstimatedInputBytes(),
-                                         forest_->RefreshConcurrency()),
-                    [&] { return forest_->ApplyDelta(delta); });
+  return GatedRefresh(CubetreeForest::RefreshKind::kApplyDelta, delta,
+                      [&] { return forest_->ApplyDelta(delta); });
 }
 
 Status CubetreeEngine::ApplyDeltaPartial(ComputedViews* delta) {
-  if (forest_ == nullptr) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
-  return GatedWrite(EstimateRefreshBytes(0, delta->EstimatedInputBytes(),
-                                         forest_->RefreshConcurrency()),
-                    [&] { return forest_->ApplyDeltaPartial(delta); });
+  return GatedRefresh(CubetreeForest::RefreshKind::kApplyDeltaPartial, delta,
+                      [&] { return forest_->ApplyDeltaPartial(delta); });
 }
 
 Status CubetreeEngine::Compact() {
-  if (forest_ == nullptr) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
-  return GatedWrite(EstimateRefreshBytes(forest_->TotalSizeBytes(), 0,
-                                         forest_->RefreshConcurrency()),
-                    [&] { return forest_->Compact(); });
+  // Compact is an ApplyDelta with an empty increment.
+  return GatedRefresh(CubetreeForest::RefreshKind::kApplyDelta, nullptr,
+                      [&] { return forest_->Compact(); });
 }
 
 double CubetreeEngine::EstimateCost(const ViewDef& view,
@@ -386,19 +375,9 @@ double CubetreeEngine::EstimateCost(const ViewDef& view,
     }
     return 1.0;
   };
-  double cost = static_cast<double>(std::max<uint64_t>(rows, 1));
-  // Constrained attrs forming a suffix of the projection list are a
-  // prefix of the packing sort order: full pruning at their selectivity.
-  size_t i = view.attrs.size();
-  while (i > 0 && selectivity(view.attrs[i - 1]) < 1.0) {
-    cost *= selectivity(view.attrs[i - 1]);
-    --i;
-  }
-  // Remaining constrained attrs still prune via MBR intersection, but
-  // only partially; credit a modest constant factor each.
-  for (size_t j = 0; j < i; ++j) {
-    if (selectivity(view.attrs[j]) < 1.0) cost /= 2.0;
-  }
+  const double cost = PackOrderCost(
+      static_cast<double>(std::max<uint64_t>(rows, 1)), view.attrs.size(),
+      [&](size_t i) { return selectivity(view.attrs[i]); });
   return std::max(cost, 1.0);
 }
 
@@ -541,6 +520,57 @@ Result<QueryResult> CubetreeEngine::Execute(const SliceQuery& query,
   return std::move(*final_result);
 }
 
+const ViewDef* CubetreeEngine::Route(const ForestSnapshot& snapshot,
+                                     const SliceQuery& query,
+                                     AttemptInfo* info) const {
+  // Cheapest covering view (replicas compete here too).
+  const ViewDef* best = nullptr;
+  double best_cost = 0;
+  // Routing-family bookkeeping for the accounting record: whether a
+  // covering view was quarantined out of contention (degraded service),
+  // and the lowest view id sharing the query node's exact attribute set
+  // (its family primary — routing to any other same-set member means a
+  // replica sort order won).
+  bool exact_family_seen = false;
+  uint32_t exact_family_primary = 0;
+  obs::Span route_span("route");
+  for (const ViewDef& view : forest_->views()) {
+    if (!view.Covers(query.node_mask)) continue;
+    // Graceful degradation after recovery: a quarantined view is out of
+    // service, but a covering superset view (or replica) can still answer.
+    if (snapshot.IsViewQuarantined(view.id)) {
+      info->degraded = true;
+      continue;
+    }
+    if (view.AttrMask() == query.node_mask &&
+        (!exact_family_seen || view.id < exact_family_primary)) {
+      exact_family_seen = true;
+      exact_family_primary = view.id;
+    }
+    auto it = view_rows_.find(view.id);
+    const uint64_t rows = it == view_rows_.end() ? 1 : it->second;
+    const double cost = EstimateCost(view, query, rows);
+    if (best == nullptr || cost < best_cost) {
+      best = &view;
+      best_cost = cost;
+    }
+  }
+  if (best == nullptr) return nullptr;
+  if (route_span.active()) {
+    route_span.Annotate("view", best->Name(schema_));
+    route_span.Annotate("estimated_cost", best_cost);
+  }
+  info->routed_view = best->id;
+  info->view = best;
+  info->estimated_cost = best_cost;
+  if (best->AttrMask() != query.node_mask) {
+    info->route = "superset";
+  } else {
+    info->route = best->id == exact_family_primary ? "exact" : "replica";
+  }
+  return best;
+}
+
 Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
                                                    QueryExecStats* stats,
                                                    const QueryContext* ctx,
@@ -552,53 +582,9 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
   if (!snapshot.valid()) {
     return Status::InvalidArgument("cubetree engine: not loaded");
   }
-  // Route: cheapest covering view (replicas compete here too).
-  const ViewDef* best = nullptr;
-  double best_cost = 0;
-  // Routing-family bookkeeping for the accounting record: whether a
-  // covering view was quarantined out of contention (degraded service),
-  // and the lowest view id sharing the query node's exact attribute set
-  // (its family primary — routing to any other same-set member means a
-  // replica sort order won).
-  bool exact_family_seen = false;
-  uint32_t exact_family_primary = 0;
-  {
-    obs::Span route_span("route");
-    for (const ViewDef& view : forest_->views()) {
-      if (!view.Covers(query.node_mask)) continue;
-      // Graceful degradation after recovery: a quarantined view is out of
-      // service, but a covering superset view (or replica) can still answer.
-      if (snapshot.IsViewQuarantined(view.id)) {
-        info->degraded = true;
-        continue;
-      }
-      if (view.AttrMask() == query.node_mask &&
-          (!exact_family_seen || view.id < exact_family_primary)) {
-        exact_family_seen = true;
-        exact_family_primary = view.id;
-      }
-      auto it = view_rows_.find(view.id);
-      const uint64_t rows = it == view_rows_.end() ? 1 : it->second;
-      const double cost = EstimateCost(view, query, rows);
-      if (best == nullptr || cost < best_cost) {
-        best = &view;
-        best_cost = cost;
-      }
-    }
-    if (best != nullptr && route_span.active()) {
-      route_span.Annotate("view", best->Name(schema_));
-      route_span.Annotate("estimated_cost", best_cost);
-    }
-  }
+  const ViewDef* best = Route(snapshot, query, info);
   if (best == nullptr) {
     return Status::NotFound("no materialized view answers this query");
-  }
-  info->routed_view = best->id;
-  info->view = best;
-  if (best->AttrMask() != query.node_mask) {
-    info->route = "superset";
-  } else {
-    info->route = best->id == exact_family_primary ? "exact" : "replica";
   }
 
   // The routing estimate doubles as the admission cost hint: under
@@ -610,8 +596,8 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
     obs::Span admit_span("admission");
     if (options_.admission != nullptr) {
       Timer admit_timer;
-      Result<AdmissionTicket> admitted =
-          options_.admission->Admit(static_cast<uint64_t>(best_cost), ctx);
+      Result<AdmissionTicket> admitted = options_.admission->Admit(
+          static_cast<uint64_t>(info->estimated_cost), ctx);
       // The wait is recorded whether or not the gate admitted: a shed or
       // deadline-expired query waited too, and hiding that wait from the
       // histogram would understate queueing under exactly the overload the

@@ -125,6 +125,7 @@ class CubetreeEngine : public ViewStore {
     uint32_t routed_view = 0;
     const ViewDef* view = nullptr;  // Into forest_->views(); may be null.
     const char* route = "none";     // exact | replica | superset | none.
+    double estimated_cost = 0;      // The router's PackOrderCost estimate.
     uint64_t admission_wait_us = 0;
     uint64_t points_examined = 0;
     uint64_t rows = 0;
@@ -140,18 +141,23 @@ class CubetreeEngine : public ViewStore {
         pool_(pool),
         degraded_(DegradedModeController::Options{options_.dir}) {}
 
-  /// Shared mutator gate: admit through the degraded-mode controller, run
-  /// the refresh, and feed its outcome back (a StorageFull flips the
-  /// engine read-only).
-  Status GatedWrite(uint64_t estimated_bytes,
-                    const std::function<Status()>& write);
+  /// Shared mutator gate: admit through the degraded-mode controller on
+  /// the forest's estimate for a refresh of `kind` over `input`, run the
+  /// refresh, and feed its outcome back (a StorageFull flips the engine
+  /// read-only).
+  Status GatedRefresh(CubetreeForest::RefreshKind kind,
+                      const CubetreeForest::ViewDataProvider* input,
+                      const std::function<Status()>& refresh);
 
-  /// Estimated tuples touched answering `query` from `view`: the packing
-  /// sort order is (last attr, ..., first attr), so predicates binding a
-  /// suffix of the projection list prune contiguous leaf ranges; other
-  /// bound attrs prune partially via MBRs.
+  /// Estimated tuples touched answering `query` from `view`: the view's
+  /// row count under PackOrderCost with the query's per-attr selectivity.
   double EstimateCost(const ViewDef& view, const SliceQuery& query,
                       uint64_t rows) const;
+
+  /// The router: the cheapest healthy view of `snapshot` covering `query`
+  /// (nullptr if none), recording the route, view and estimate in `info`.
+  const ViewDef* Route(const ForestSnapshot& snapshot, const SliceQuery& query,
+                       AttemptInfo* info) const;
 
   /// One routing + search attempt against a freshly pinned snapshot.
   Result<QueryResult> ExecuteAttempt(const SliceQuery& query,

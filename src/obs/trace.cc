@@ -12,7 +12,7 @@ namespace obs {
 
 namespace trace_internal {
 thread_local AmbientTrace t_ambient;
-thread_local QueryCounters* t_query_counters = nullptr;
+constinit thread_local QueryCounters* t_query_counters = nullptr;
 }  // namespace trace_internal
 
 using trace_internal::t_ambient;

@@ -44,7 +44,7 @@ struct QueryCounters {
   uint64_t pool_hits = 0;
 };
 
-extern thread_local QueryCounters* t_query_counters;
+extern constinit thread_local QueryCounters* t_query_counters;
 
 }  // namespace trace_internal
 

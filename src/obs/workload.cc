@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "cubetree/view_def.h"
+
 namespace cubetree {
 namespace obs {
 
@@ -104,54 +106,39 @@ std::vector<SpaceSavingSketch::Entry> SpaceSavingSketch::TopK(size_t k) const {
 std::optional<ReplicaMiss> ScoreReplicaMiss(const QueryLogRecord& record) {
   if (record.view.empty() || record.order.empty()) return std::nullopt;
 
-  // Look attrs up by name so the scorer does not assume record.attrs and
-  // record.order agree on ordering.
-  auto find_attr = [&](const std::string& name) -> const QueryLogAttr* {
+  // Selectivity per position of the routed order. Attrs are looked up by
+  // name so the scorer does not assume record.attrs and record.order agree
+  // on ordering; an attr the record does not carry is unconstrained.
+  const size_t arity = record.order.size();
+  std::vector<double> sel(arity, 1.0);
+  for (size_t i = 0; i < arity; ++i) {
     for (const QueryLogAttr& attr : record.attrs) {
-      if (attr.name == name) return &attr;
+      if (attr.name == record.order[i]) {
+        sel[i] = AttrSelectivity(attr);
+        break;
+      }
     }
-    return nullptr;
-  };
-
-  // Actual cost factor under the routed order, mirroring
-  // CubetreeEngine::EstimateCost: walk from the pack-order-major end (the
-  // back of the projection list); constrained attributes in that suffix
-  // multiply in their full selectivity, every other constrained attribute
-  // contributes only a halving.
-  double actual = 1.0;
-  size_t suffix_end = record.order.size();
-  while (suffix_end > 0) {
-    const QueryLogAttr* attr = find_attr(record.order[suffix_end - 1]);
-    if (attr == nullptr || !AttrConstrained(*attr)) break;
-    actual *= AttrSelectivity(*attr);
-    --suffix_end;
   }
-  double best = actual;
-  for (size_t i = 0; i < suffix_end; ++i) {
-    const QueryLogAttr* attr = find_attr(record.order[i]);
-    if (attr == nullptr || !AttrConstrained(*attr)) continue;
-    actual *= 0.5;
-    best *= AttrSelectivity(*attr);
+  // Recommended permutation: unconstrained attributes first (least
+  // significant), constrained ones moved to the suffix, both keeping their
+  // relative order — deterministic, so recommendations aggregate.
+  std::vector<size_t> perm;
+  perm.reserve(arity);
+  for (size_t i = 0; i < arity; ++i) {
+    if (sel[i] >= 1.0) perm.push_back(i);
   }
+  for (size_t i = 0; i < arity; ++i) {
+    if (sel[i] < 1.0) perm.push_back(i);
+  }
+  const double actual =
+      PackOrderCost(1.0, arity, [&](size_t i) { return sel[i]; });
+  const double best =
+      PackOrderCost(1.0, arity, [&](size_t i) { return sel[perm[i]]; });
   if (best >= actual * (1.0 - 1e-9)) return std::nullopt;  // Already optimal.
 
   ReplicaMiss miss;
   miss.view = record.view;
-  // Recommended permutation: unconstrained attributes first (least
-  // significant), constrained ones moved to the suffix, both keeping their
-  // relative order — deterministic, so recommendations aggregate.
-  for (const std::string& name : record.order) {
-    const QueryLogAttr* attr = find_attr(name);
-    if (attr == nullptr || !AttrConstrained(*attr)) {
-      miss.recommended_order.push_back(name);
-    }
-  }
-  for (const std::string& name : record.order) {
-    const QueryLogAttr* attr = find_attr(name);
-    if (attr != nullptr && AttrConstrained(*attr)) {
-      miss.recommended_order.push_back(name);
-    }
-  }
+  for (size_t i : perm) miss.recommended_order.push_back(record.order[i]);
   miss.cost_ratio = best / actual;
   miss.pages_touched = record.pages_read + record.pool_hits;
   miss.est_pages_saved =

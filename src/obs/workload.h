@@ -59,15 +59,12 @@ struct ReplicaMiss {
   uint64_t pages_touched = 0;  // pages_read + pool_hits of the record.
 };
 
-/// Scores one record against the routed view's best same-set sort order.
-/// The cost model mirrors CubetreeEngine::EstimateCost: constrained
-/// attributes forming a suffix of the projection list prune fully (their
-/// selectivity product); any other constrained attribute only halves the
-/// cost via partial MBR pruning. The best permutation moves every
-/// constrained attribute into the suffix, so its cost is the full
-/// selectivity product — the ratio needs only the record's [lo, hi]
-/// intervals and domains, not row counts. Returns nullopt when the routed
-/// order was already optimal (or the record carries no routed view).
+/// Scores one record against the routed view's best same-set sort order,
+/// pricing both orders with the router's own PackOrderCost. The best
+/// permutation moves every constrained attribute into the pack-order
+/// suffix, so the ratio needs only the record's [lo, hi] intervals and
+/// domains, not row counts. Returns nullopt when the routed order was
+/// already optimal (or the record carries no routed view).
 std::optional<ReplicaMiss> ScoreReplicaMiss(const QueryLogRecord& record);
 
 /// Streaming workload profiler: aggregates per-query records — live (the

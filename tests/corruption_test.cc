@@ -290,6 +290,30 @@ TEST_F(CorruptionTest, RepairFromReplicasRestoresQuarantinedView) {
   ExpectMatchesReference(bound);
 }
 
+TEST_F(CorruptionTest, RepairFromReplicasRebuildsTheArityZeroView) {
+  // The apex view {} has no coordinates at all: its records are the bare
+  // aggregate payload. Losing its tree must still repair from any healthy
+  // view (they all cover the empty attribute set) and answer exactly.
+  SliceQuery apex;
+  apex.node_mask = 0;
+  ExpectMatchesReference(apex);
+  ASSERT_OK_AND_ASSIGN(bool quarantined,
+                       cbt_->forest()->QuarantineForCorruption(
+                           0, "", Status::Corruption("test damage")));
+  ASSERT_TRUE(quarantined);
+  ASSERT_TRUE(cbt_->forest()->IsViewQuarantined(0));
+
+  ASSERT_OK(cbt_->RepairFromReplicas());
+  EXPECT_FALSE(cbt_->forest()->HasQuarantine());
+  ExpectMatchesReference(apex);
+  ExpectMatchesReference(TopQuery());
+  SliceQuery part;
+  part.node_mask = 0b001;
+  part.attrs = {0};
+  part.bindings = {std::nullopt};
+  ExpectMatchesReference(part);
+}
+
 TEST_F(CorruptionTest, RepairUnavailableWithoutSourceFallsBackToBaseData) {
   CorruptAllDataPages(TreePath(7));
   CorruptAllDataPages(TreePath(1000));

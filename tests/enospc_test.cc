@@ -138,9 +138,12 @@ void BuildBaseForest(const std::string& dir) {
 
 using Contents = std::vector<std::string>;
 
-Contents Dump(CubetreeForest* forest) {
+/// Every view's contents; with `skip_quarantined`, only the views the
+/// forest still serves.
+Contents Dump(CubetreeForest* forest, bool skip_quarantined = false) {
   std::map<std::string, std::pair<int64_t, uint64_t>> groups;
   for (const ViewDef& view : forest->views()) {
+    if (skip_quarantined && forest->IsViewQuarantined(view.id)) continue;
     EXPECT_FALSE(forest->IsViewQuarantined(view.id)) << view.id;
     auto tree_result = forest->TreeForView(view.id);
     EXPECT_TRUE(tree_result.ok()) << tree_result.status().ToString();
@@ -198,12 +201,10 @@ std::set<std::string> ListFiles(const std::string& dir) {
   return names;
 }
 
-/// Files a cleanly-aborted refresh may legitimately add: the refresh
-/// journal and a not-yet-renamed manifest draft. Both are removed by the
-/// next Recover. Anything else new — a pack file, a sidecar, a sorter
-/// run — is a leaked partial file.
+/// Files a cleanly-aborted refresh may legitimately add: a not-yet-renamed
+/// manifest draft, removed by the next Recover. Anything else new — a pack
+/// file, a sidecar, a sorter run — is a leaked partial file.
 bool AllowedAbortResidue(const std::string& name) {
-  if (name == "f.refresh.wal") return true;
   const std::string tmp = ".manifest.tmp";
   return name.size() >= tmp.size() &&
          name.compare(name.size() - tmp.size(), tmp.size(), tmp) == 0;
@@ -420,7 +421,7 @@ void SweepPoint(const char* point, const char* action, int* fired,
 
   if (!status.ok() && recovered == expected.before) {
     // The refresh aborted before commit: no partial pack, sidecar, or run
-    // file may outlive the abort (journal and manifest draft excepted).
+    // file may outlive the abort (a manifest draft excepted).
     for (const std::string& name : after_abort) {
       EXPECT_TRUE(baseline.count(name) != 0 || AllowedAbortResidue(name))
           << "leaked partial file after aborted refresh: " << name;
@@ -689,6 +690,122 @@ TEST_F(EnospcTest, EngineDegradedModeServesReadOnlyAndAutoRecovers) {
         << "post-recovery refresh lost rows";
   }
 }
+
+// --- The shared abort path of every refresh kind -------------------------
+
+using RefreshKind = CubetreeForest::RefreshKind;
+
+std::string RefreshKindName(RefreshKind kind) {
+  switch (kind) {
+    case RefreshKind::kApplyDelta:
+      return "ApplyDelta";
+    case RefreshKind::kApplyDeltaPartial:
+      return "ApplyDeltaPartial";
+    case RefreshKind::kRebuildQuarantined:
+      return "RebuildQuarantined";
+  }
+  return "unknown";
+}
+
+/// One refresh kind with one fault armed before its commit point.
+struct AbortCase {
+  RefreshKind kind;
+  const char* point;
+  const char* action;
+
+  std::string Name() const {
+    std::string name = RefreshKindName(kind) + "_" + point + "_" + action;
+    std::replace(name.begin(), name.end(), '.', '_');
+    return name;
+  }
+};
+
+void PrintTo(const AbortCase& c, std::ostream* os) { *os << c.Name(); }
+
+std::vector<AbortCase> AbortCases() {
+  std::vector<AbortCase> cases;
+  for (RefreshKind kind :
+       {RefreshKind::kApplyDelta, RefreshKind::kApplyDeltaPartial,
+        RefreshKind::kRebuildQuarantined}) {
+    cases.push_back({kind, "forest.refresh.build", "error"});
+    cases.push_back({kind, "forest.manifest.rename", "error"});
+    cases.push_back({kind, "rtree.build.sync", "enospc"});
+  }
+  return cases;
+}
+
+class RefreshAbortTest : public ::testing::TestWithParam<AbortCase> {
+ protected:
+  void TearDown() override { FaultInjector::Instance().DisarmAll(); }
+};
+
+// Every refresh kind runs the same generation transaction, so a fault
+// anywhere before the commit point must leave the same trace: a typed
+// status, the directory exactly as before (no pack, sidecar, manifest
+// draft or journal of any kind), the published epoch and its answers
+// untouched — and the next attempt of the same refresh succeeds.
+TEST_P(RefreshAbortTest, AbortLeavesNoResidueAndRetrySucceeds) {
+  const AbortCase& fault = GetParam();
+  const RefreshKind kind = fault.kind;
+  const std::string dir = MakeTestDir("enospc_abort_" + fault.Name());
+  BuildBaseForest(dir);
+  BufferPool pool(256);
+  ASSERT_OK_AND_ASSIGN(auto forest,
+                       CubetreeForest::Open(ForestOptions(dir), &pool));
+  const auto views = PaperViews();
+  VectorViewProvider input;
+  if (kind == RefreshKind::kRebuildQuarantined) {
+    // Take view 1's tree out of service; the rebuild restores it from the
+    // base data.
+    ASSERT_OK_AND_ASSIGN(bool quarantined,
+                         forest->QuarantineForCorruption(
+                             1, "", Status::Corruption("test damage")));
+    ASSERT_TRUE(quarantined);
+    FillBase(&input, views);
+  } else {
+    FillDelta(&input, views);
+  }
+  auto refresh = [&] {
+    switch (kind) {
+      case RefreshKind::kApplyDelta:
+        return forest->ApplyDelta(&input);
+      case RefreshKind::kApplyDeltaPartial:
+        return forest->ApplyDeltaPartial(&input);
+      case RefreshKind::kRebuildQuarantined:
+        return forest->RebuildQuarantined(&input);
+    }
+    return Status::Internal("unknown refresh kind");
+  };
+  const std::set<std::string> files_before = ListFiles(dir);
+  const uint64_t epoch_before = forest->AcquireSnapshot().epoch();
+  const Contents served_before = Dump(forest.get(), /*skip_quarantined=*/true);
+
+  ASSERT_OK(FaultInjector::Instance().Arm(fault.point, fault.action));
+  const Status failed = refresh();
+  FaultInjector::Instance().DisarmAll();
+  ASSERT_FALSE(failed.ok());
+  if (std::string(fault.action) == "enospc") {
+    EXPECT_TRUE(failed.IsStorageFull()) << failed.ToString();
+  } else {
+    EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+  }
+  EXPECT_EQ(ListFiles(dir), files_before);
+  EXPECT_EQ(forest->AcquireSnapshot().epoch(), epoch_before);
+  EXPECT_EQ(Dump(forest.get(), /*skip_quarantined=*/true), served_before);
+
+  ASSERT_OK(refresh());
+  EXPECT_EQ(Dump(forest.get()), kind == RefreshKind::kRebuildQuarantined
+                                    ? ReferenceSnapshots().before
+                                    : ReferenceSnapshots().after);
+  EXPECT_GT(forest->AcquireSnapshot().epoch(), epoch_before);
+  // No refresh kind writes a journal.
+  for (const std::string& name : ListFiles(dir)) {
+    EXPECT_FALSE(name.ends_with(".refresh.wal")) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryRefreshKind, RefreshAbortTest,
+                         ::testing::ValuesIn(AbortCases()));
 
 }  // namespace
 }  // namespace cubetree
