@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the core operations: packed R-tree
 // bulk load (the paper reports a 6 GB/hour packing rate on 1997 hardware),
-// range search, merge-pack, B-tree insert/lookup/bulk-build and the
-// external sorter.
+// range search, the per-arity leaf scan, merge-pack, B-tree
+// insert/lookup/bulk-build and the external sorter.
 
 #include <benchmark/benchmark.h>
 
@@ -105,6 +105,68 @@ void BM_PackedRTreeSearch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PackedRTreeSearch);
+
+// Leaf-scan cost per examined point, by leaf arity (arg = 1..kMaxDims):
+// a single-view tree of that arity held in a warm pool, searched with one
+// band on every coordinate, so each examined point is tested on all of
+// them. Items = points examined (inside the leaf windows).
+void BM_PackedRTreeScan(benchmark::State& state) {
+  MakeBenchDir(kDir);
+  const uint8_t arity = static_cast<uint8_t>(state.range(0));
+  constexpr Coord kDomain = 1 << 16;
+  constexpr uint32_t kPoints = 100000;
+  std::vector<PointRecord> points(kPoints);
+  Rng rng(17 + arity);
+  for (PointRecord& rec : points) {
+    rec.view_id = 1;
+    for (uint8_t d = 0; d < arity; ++d) {
+      rec.coords[d] = 1 + static_cast<Coord>(rng.Uniform(kDomain));
+    }
+    rec.agg = AggValue{static_cast<int64_t>(rng.Uniform(1000)), 1};
+  }
+  auto pack_less = [arity](const PointRecord& a, const PointRecord& b) {
+    return PackOrderCompare(a.coords, b.coords, arity) < 0;
+  };
+  std::sort(points.begin(), points.end(), pack_less);
+  points.erase(std::unique(points.begin(), points.end(),
+                           [&](const PointRecord& a, const PointRecord& b) {
+                             return !pack_less(a, b) && !pack_less(b, a);
+                           }),
+               points.end());
+  BufferPool pool(2048);  // Holds the whole tree: the scan is CPU-bound.
+  RTreeOptions options;
+  options.dims = arity;
+  VectorPointSource source(std::move(points));
+  auto built = PackedRTree::Build(std::string(kDir) + "/scan.ctr", options,
+                                  &pool, &source,
+                                  [arity](uint32_t) { return arity; });
+  if (!built.ok()) {
+    state.SkipWithError("build failed");
+    return;
+  }
+  auto tree = std::move(built).value();
+  Rect band;
+  for (uint8_t d = 0; d < arity; ++d) {
+    band.lo[d] = kDomain / 16;
+    band.hi[d] = kDomain - kDomain / 16;
+  }
+  uint64_t examined = 0;
+  uint64_t emitted = 0;
+  for (auto _ : state) {
+    SearchStats stats;
+    Status st = tree->Search(
+        band,
+        [](const PointRecord& rec) { benchmark::DoNotOptimize(rec.agg.sum); },
+        &stats);
+    if (!st.ok()) state.SkipWithError("search failed");
+    examined += stats.points_examined;
+    emitted += stats.points_emitted;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(examined));
+  state.counters["emitted_per_examined"] =
+      examined == 0 ? 0.0 : static_cast<double>(emitted) / examined;
+}
+BENCHMARK(BM_PackedRTreeScan)->DenseRange(1, kMaxDims);
 
 // Verify-on-read overhead: the same slice workload through a pool far
 // smaller than the tree, so every search performs physical reads. Arg 1

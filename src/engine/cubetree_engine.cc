@@ -84,65 +84,74 @@ const char* OutcomeName(const Status& status, bool rerouted, bool degraded) {
   return "error";
 }
 
-/// GROUP BY table of the superset re-aggregation: an open-addressing
-/// index (linear probing, at most half full) over dense arrays of
-/// fixed-width keys and their aggregates, so a group costs no allocation
-/// of its own. Groups are numbered in first-seen order.
-class GroupTable {
+/// GROUP BY index of the superset re-aggregation when groups do not
+/// arrive adjacent: open addressing (linear probing, at most half full)
+/// over row numbers of the answer being built, so each group lives once,
+/// as its row. Rows come out in first-seen order.
+class RowIndex {
  public:
-  explicit GroupTable(size_t width) : width_(width) {}
+  explicit RowIndex(std::vector<ResultRow>* rows) : rows_(rows) {}
 
-  /// The aggregate of the group whose `width` coordinates are at `key`
-  /// (zero-initialized when the group is new).
-  AggValue& operator[](const Coord* key) {
-    if ((aggs_.size() + 1) * 2 > index_.size()) {
-      Rehash(std::max<size_t>(16, index_.size() * 2));
+  /// The aggregate of the row whose group is `key`, appending a row with a
+  /// zero aggregate when the group is new.
+  AggValue& operator[](const GroupKey& key) {
+    if ((rows_->size() + 1) * 2 > slots_.size()) {
+      Rehash(std::max<size_t>(16, slots_.size() * 2));
     }
     uint32_t* slot = Find(key);
     if (*slot == kEmpty) {
-      *slot = static_cast<uint32_t>(aggs_.size());
-      keys_.insert(keys_.end(), key, key + width_);
-      aggs_.emplace_back();
+      *slot = static_cast<uint32_t>(rows_->size());
+      rows_->push_back(ResultRow{key, AggValue()});
     }
-    return aggs_[*slot];
+    return (*rows_)[*slot].agg;
   }
-
-  size_t size() const { return aggs_.size(); }
-  const Coord* key(size_t group) const {
-    return keys_.data() + group * width_;
-  }
-  const AggValue& agg(size_t group) const { return aggs_[group]; }
 
  private:
   static constexpr uint32_t kEmpty = UINT32_MAX;
 
-  uint32_t* Find(const Coord* key) {
+  uint32_t* Find(const GroupKey& key) {
     uint64_t h = 0;
-    for (size_t i = 0; i < width_; ++i) {
-      h = (h ^ key[i]) * 0x9E3779B97F4A7C15ull;
-    }
+    for (Coord c : key) h = (h ^ c) * 0x9E3779B97F4A7C15ull;
     h = (h ^ (h >> 32)) * 0xD6E8FEB86659FD93ull;
-    const size_t mask = index_.size() - 1;
+    const size_t mask = slots_.size() - 1;
     size_t i = static_cast<size_t>(h ^ (h >> 32)) & mask;
-    while (index_[i] != kEmpty &&
-           !std::equal(key, key + width_, this->key(index_[i]))) {
+    while (slots_[i] != kEmpty && (*rows_)[slots_[i]].group != key) {
       i = (i + 1) & mask;
     }
-    return &index_[i];
+    return &slots_[i];
   }
 
   void Rehash(size_t slots) {
-    index_.assign(slots, kEmpty);
-    for (size_t g = 0; g < aggs_.size(); ++g) {
-      *Find(key(g)) = static_cast<uint32_t>(g);
+    slots_.assign(slots, kEmpty);
+    for (size_t r = 0; r < rows_->size(); ++r) {
+      *Find((*rows_)[r].group) = static_cast<uint32_t>(r);
     }
   }
 
-  size_t width_;
-  std::vector<uint32_t> index_;  // Group numbers; power-of-two size.
-  std::vector<Coord> keys_;      // width_ coordinates per group.
-  std::vector<AggValue> aggs_;
+  std::vector<ResultRow>* rows_;
+  std::vector<uint32_t> slots_;  // Row numbers; power-of-two size.
 };
+
+/// True when a pack-order scan of a view delivers each group's points
+/// adjacently. Pack order sorts on the view's last position first; the
+/// positions pinned by an equality (lo == hi) are constant over the scan,
+/// so a group's points are adjacent exactly when the grouped positions
+/// are the most significant of the remaining ones.
+bool GroupsArriveAdjacent(
+    const std::vector<std::pair<Coord, Coord>>& intervals,
+    const std::vector<size_t>& group_positions) {
+  uint32_t grouped = 0;
+  for (size_t pos : group_positions) {
+    if (intervals[pos].first != intervals[pos].second) grouped |= 1u << pos;
+  }
+  for (size_t pos = intervals.size(); pos > 0 && grouped != 0; --pos) {
+    const size_t p = pos - 1;
+    if (intervals[p].first == intervals[p].second) continue;
+    if ((grouped & (1u << p)) == 0) return false;
+    grouped &= ~(1u << p);
+  }
+  return true;
+}
 
 /// ViewDataProvider over per-view record buffers derived in memory ahead of
 /// the rebuild (from healthy replicas / superset views), already sorted in
@@ -656,6 +665,20 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
       exact = false;
     }
   }
+  // Superset answers need the paper's "additional aggregate step". A
+  // pack-ordered scan of one tree delivers a group's points adjacently when
+  // the grouped positions lead the view's sort order, so a group folds into
+  // the last row as it streams by; otherwise rows are found by hash.
+  const bool stream = !exact && !tree->HasDeltas() &&
+                      tree->rtree()->pack_ordered() &&
+                      GroupsArriveAdjacent(intervals, group_positions);
+  std::vector<ResultRow>& rows = result.rows;
+  // The row of the point at `coords`, built in place at the end.
+  auto append_row = [&](const Coord* coords, const AggValue& agg) {
+    ResultRow& row = rows.emplace_back();
+    for (size_t pos : group_positions) row.group.push_back(coords[pos]);
+    row.agg = agg;
+  };
   SearchStats search_stats;
   {
     obs::Span search_span("search");
@@ -664,41 +687,46 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
       CT_RETURN_NOT_OK(tree->QueryBox(
           best->id, intervals,
           [&](const Coord* coords, const AggValue& agg) {
-            ResultRow row;
-            row.group.reserve(group_positions.size());
-            for (size_t pos : group_positions) row.group.push_back(coords[pos]);
-            row.agg = agg;
-            result.rows.push_back(std::move(row));
+            append_row(coords, agg);
           },
           &search_stats));
-    } else {
-      // Superset view: re-aggregate over the extra attributes on the fly
-      // (the paper's "additional aggregate step"). Rows come out in
-      // first-seen order; callers that need an order sort them
-      // (QueryResult::SortRows).
-      const size_t width = group_positions.size();
-      GroupTable groups(width);
-      Coord key[kMaxDims];
+    } else if (stream) {
+      auto in_last_group = [&](const Coord* coords) {
+        const GroupKey& last = rows.back().group;
+        for (size_t i = 0; i < group_positions.size(); ++i) {
+          if (last[i] != coords[group_positions[i]]) return false;
+        }
+        return true;
+      };
       CT_RETURN_NOT_OK(tree->QueryBox(
           best->id, intervals,
           [&](const Coord* coords, const AggValue& agg) {
-            for (size_t i = 0; i < width; ++i) {
-              key[i] = coords[group_positions[i]];
+            if (!rows.empty() && in_last_group(coords)) {
+              rows.back().agg.Merge(agg);
+            } else {
+              append_row(coords, agg);
             }
-            groups[key].Merge(agg);
           },
           &search_stats));
-      result.rows.reserve(groups.size());
-      for (size_t g = 0; g < groups.size(); ++g) {
-        const Coord* group = groups.key(g);
-        result.rows.push_back(
-            ResultRow{std::vector<Coord>(group, group + width), groups.agg(g)});
-      }
+    } else {
+      // Rows come out in first-seen order; callers that need an order
+      // sort them (QueryResult::SortRows).
+      RowIndex index(&rows);
+      CT_RETURN_NOT_OK(tree->QueryBox(
+          best->id, intervals,
+          [&](const Coord* coords, const AggValue& agg) {
+            GroupKey key;
+            for (size_t pos : group_positions) key.push_back(coords[pos]);
+            index[key].Merge(agg);
+          },
+          &search_stats));
     }
     if (search_span.active()) {
-      search_span.Annotate("plan", exact ? "slice" : "reaggregate");
+      search_span.Annotate("plan", exact    ? "slice"
+                                   : stream ? "stream"
+                                            : "reaggregate");
       search_span.Annotate("tuples", search_stats.points_examined);
-      search_span.Annotate("rows", static_cast<uint64_t>(result.rows.size()));
+      search_span.Annotate("rows", static_cast<uint64_t>(rows.size()));
     }
   }
   if (stats != nullptr) {

@@ -1,11 +1,14 @@
 #ifndef CUBETREE_OLAP_QUERY_MODEL_H_
 #define CUBETREE_OLAP_QUERY_MODEL_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/rng.h"
 #include "cubetree/view_def.h"
 #include "olap/lattice.h"
@@ -78,10 +81,53 @@ struct SliceQuery {
   std::string ToString(const CubeSchema& schema) const;
 };
 
+/// The group-by values of one result row: up to kMaxDims coordinates held
+/// inline, so building an answer row allocates nothing. It keeps the part
+/// of std::vector<Coord>'s surface that callers use, with the same
+/// equality and the same lexicographic order (QueryResult::SortRows sorts
+/// on it), and converts implicitly from a vector or a braced list.
+class GroupKey {
+ public:
+  GroupKey() = default;
+  GroupKey(const std::vector<Coord>& coords)  // NOLINT(google-explicit-constructor)
+      : GroupKey(coords.data(), coords.size()) {}
+  GroupKey(std::initializer_list<Coord> coords)
+      : GroupKey(coords.begin(), coords.size()) {}
+
+  size_t size() const { return size_; }
+  const Coord* data() const { return coords_; }
+  const Coord* begin() const { return coords_; }
+  const Coord* end() const { return coords_ + size_; }
+  const Coord& operator[](size_t i) const { return coords_[i]; }
+
+  void push_back(Coord c) {
+    CT_ASSERT(size_ < kMaxDims) << "group key wider than kMaxDims";
+    coords_[size_++] = c;
+  }
+
+  friend bool operator==(const GroupKey& a, const GroupKey& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend bool operator<(const GroupKey& a, const GroupKey& b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+
+ private:
+  GroupKey(const Coord* coords, size_t n) : size_(static_cast<uint32_t>(n)) {
+    CT_ASSERT(n <= kMaxDims) << "group key of " << n
+                             << " coordinates exceeds kMaxDims";
+    std::copy(coords, coords + n, coords_);
+  }
+
+  Coord coords_[kMaxDims] = {};
+  uint32_t size_ = 0;
+};
+
 /// One output row of a slice query: values of the group-by attributes (in
 /// the query's attr order, bound attrs omitted) plus the aggregate.
 struct ResultRow {
-  std::vector<Coord> group;
+  GroupKey group;
   AggValue agg;
 };
 

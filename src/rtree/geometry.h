@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace cubetree {
 
@@ -78,6 +79,13 @@ struct Rect {
     return true;
   }
 
+  /// ContainsPoint with the dimensionality fixed at compile time, so the
+  /// test unrolls into Dims interval checks (the leaf scan's hot loop).
+  template <size_t Dims>
+  bool ContainsPointFixed(const Coord* coords) const {
+    return ContainsEach(coords, std::make_index_sequence<Dims>());
+  }
+
   bool Intersects(const Rect& other, size_t dims) const {
     for (size_t i = 0; i < dims; ++i) {
       if (other.hi[i] < lo[i] || other.lo[i] > hi[i]) return false;
@@ -102,6 +110,12 @@ struct Rect {
   }
 
   std::string ToString(size_t dims) const;
+
+ private:
+  template <size_t... D>
+  bool ContainsEach(const Coord* coords, std::index_sequence<D...>) const {
+    return ((coords[D] >= lo[D] && coords[D] <= hi[D]) && ...);
+  }
 };
 
 /// The Cubetree packing order: points are sorted by the LAST coordinate

@@ -32,6 +32,23 @@ uint16_t PartitionPoint(uint16_t lo, uint16_t hi, Pred pred) {
   return lo;
 }
 
+/// Checks a leaf page's header against its tree: the leaf flag, an arity
+/// within the tree's `dims`, and an entry count within that arity's
+/// capacity. Every reader of leaf entries calls it before decoding one, so
+/// a malformed header on a page whose checksum is valid cannot make a
+/// decode overrun the page or a PointRecord.
+Status CheckLeafHeader(const char* page, uint8_t dims,
+                       const std::string& path) {
+  if (!RNodeIsLeaf(page)) {
+    return Status::Corruption("rtree: expected leaf page in " + path);
+  }
+  const uint8_t arity = RNodeArity(page);
+  if (arity > dims || RNodeCount(page) > RLeafCapacity(arity)) {
+    return Status::Corruption("rtree: corrupt leaf header in " + path);
+  }
+  return Status::OK();
+}
+
 void WriteMetaPage(Page* page, const RTreeOptions& options, PageId root,
                    uint32_t height, uint64_t num_points,
                    PageId num_leaf_pages) {
@@ -243,6 +260,11 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Open(
   if (!meta.DecodeFrom(page.data)) {
     return Status::Corruption("rtree: bad magic in " + path);
   }
+  // Every node decode sizes its copies by dims (and a leaf's arity is
+  // bounded by it), so it must fit the kMaxDims-wide records.
+  if (meta.dims == 0 || meta.dims > kMaxDims) {
+    return Status::Corruption("rtree: dims out of range in " + path);
+  }
   RTreeOptions options;
   options.dims = meta.dims;
   options.compress_leaves = meta.compress_leaves;
@@ -340,19 +362,13 @@ Status PackedRTree::OpenLeaf(PageId leaf_id, const Rect& query,
   window->handle.Release();
   CT_ASSIGN_OR_RETURN(window->handle, pool_->Fetch(file_.get(), leaf_id));
   const char* page = window->handle.data();
-  if (!RNodeIsLeaf(page)) {
-    return Status::Corruption("rtree: expected leaf page in " + path());
-  }
+  CT_RETURN_NOT_OK(CheckLeafHeader(page, options_.dims, path()));
   ++stats->leaf_pages;
   const uint16_t count = RNodeCount(page);
   const uint8_t arity = RNodeArity(page);
-  if (arity > options_.dims || count > RLeafCapacity(arity)) {
-    return Status::Corruption("rtree: corrupt leaf header in " + path());
-  }
   rec->view_id = RNodeViewId(page);
   for (size_t d = arity; d < kMaxDims; ++d) rec->coords[d] = 0;
   window->entries = page + kRNodeHeaderSize;
-  window->entry_bytes = RLeafEntryBytes(arity);
   window->arity = arity;
   window->begin = 0;
   window->end = count;
@@ -365,7 +381,7 @@ Status PackedRTree::OpenLeaf(PageId leaf_id, const Rect& query,
     // sorts the entries on coordinate arity-1.
     const size_t major = arity - 1;
     const char* entries = window->entries;
-    const size_t entry_bytes = window->entry_bytes;
+    const size_t entry_bytes = RLeafEntryBytes(arity);
     window->begin = PartitionPoint(0, count, [&](uint16_t i) {
       return RLeafCoord(entries + i * entry_bytes, major) < query.lo[major];
     });
@@ -382,6 +398,7 @@ namespace {
 /// Recursion helper for Validate: computes the actual bounding box of the
 /// subtree at `node` while checking invariants.
 struct ValidateContext {
+  const std::string& path;
   PageManager* file;
   BufferPool* pool;
   uint8_t dims;
@@ -398,6 +415,7 @@ Status ValidateNode(ValidateContext* ctx, PageId node_id, Rect* bounds) {
                               std::to_string(node_id));
   }
   if (RNodeIsLeaf(page)) {
+    CT_RETURN_NOT_OK(CheckLeafHeader(page, ctx->dims, ctx->path));
     const uint8_t arity = RNodeArity(page);
     const uint32_t view_id = RNodeViewId(page);
     const size_t entry_bytes = RLeafEntryBytes(arity);
@@ -458,7 +476,7 @@ Status PackedRTree::Validate() {
     }
     return Status::OK();
   }
-  ValidateContext ctx{file_.get(), pool_, options_.dims};
+  ValidateContext ctx{path(), file_.get(), pool_, options_.dims};
   Rect bounds;
   CT_RETURN_NOT_OK(ValidateNode(&ctx, root_, &bounds));
   if (ctx.points != num_points_) {
@@ -506,21 +524,21 @@ Status PackedRTree::Scanner::Next(const PointRecord** record) {
         return Status::OK();
       }
       CT_RETURN_NOT_OK(tree_->file_->ReadPage(next_page_, &page_));
-      // Pages 1..num_leaf_pages are leaves by the packed file layout.
-      CT_DCHECK(RNodeIsLeaf(page_.data))
-          << "non-leaf page " << next_page_ << " in the leaf region of "
-          << tree_->path();
+      // Pages 1..num_leaf_pages are leaves by the packed file layout; the
+      // header is still checked before any entry is decoded.
+      CT_RETURN_NOT_OK(
+          CheckLeafHeader(page_.data, tree_->dims(), tree_->path()));
       ++next_page_;
       count_ = RNodeCount(page_.data);
+      arity_ = RNodeArity(page_.data);
+      view_id_ = RNodeViewId(page_.data);
       slot_ = 0;
       loaded_ = true;
     }
     if (slot_ < count_) {
-      const uint8_t arity = RNodeArity(page_.data);
-      const uint32_t view_id = RNodeViewId(page_.data);
       RLeafReadEntry(
-          page_.data + kRNodeHeaderSize + slot_ * RLeafEntryBytes(arity),
-          arity, view_id, &record_);
+          page_.data + kRNodeHeaderSize + slot_ * RLeafEntryBytes(arity_),
+          arity_, view_id_, &record_);
       ++slot_;
       *record = &record_;
       return Status::OK();

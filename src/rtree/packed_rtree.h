@@ -139,6 +139,8 @@ class PackedRTree {
     PageId next_page_ = 1;  // Leaves start right after the meta page.
     uint16_t slot_ = 0;
     uint16_t count_ = 0;
+    uint8_t arity_ = 0;
+    uint32_t view_id_ = 0;
     bool loaded_ = false;
     PointRecord record_;
   };
@@ -170,12 +172,11 @@ class PackedRTree {
               BufferPool* pool);
 
   /// The part of one fetched leaf a search must test: entries
-  /// [begin, end), each `entry_bytes` long from `entries`, with `arity`
-  /// stored coordinates. The handle keeps the page pinned meanwhile.
+  /// [begin, end) from `entries`, each with `arity` stored coordinates.
+  /// The handle keeps the page pinned meanwhile.
   struct LeafWindow {
     PageHandle handle;
     const char* entries = nullptr;
-    size_t entry_bytes = 0;
     uint8_t arity = 0;
     uint16_t begin = 0;
     uint16_t end = 0;
@@ -199,6 +200,13 @@ class PackedRTree {
   /// The implicitly-zero coordinates are tested here, once per leaf.
   Status OpenLeaf(PageId leaf, const Rect& query, PointRecord* rec,
                   LeafWindow* window, SearchStats* stats);
+  /// Tests the window's entries against `query` and emits the matches.
+  /// The arity is a template argument, so the coordinate copy is of fixed
+  /// size and the containment test unrolls: Search instantiates this one
+  /// loop per leaf arity and switches on the window's arity once per leaf.
+  template <size_t Arity, typename Emit>
+  static void ScanLeaf(const Rect& query, const LeafWindow& window,
+                       PointRecord* rec, Emit& emit, SearchStats* stats);
 
   std::unique_ptr<PageManager> file_;
   RTreeOptions options_;
@@ -220,17 +228,24 @@ Status PackedRTree::Search(const Rect& query, Emit&& emit,
   obs::Span scan("rtree.scan");
   PointRecord rec;
   LeafWindow window;
+  static_assert(kMaxDims == 8, "one ScanLeaf case per leaf arity 0..kMaxDims");
   for (PageId leaf : leaves) {
     CT_RETURN_NOT_OK(OpenLeaf(leaf, query, &rec, &window, s));
-    const size_t coord_bytes = window.arity * sizeof(Coord);
-    for (uint16_t i = window.begin; i < window.end; ++i) {
-      const char* entry = window.entries + i * window.entry_bytes;
-      std::memcpy(rec.coords, entry, coord_bytes);
-      if (!query.ContainsPoint(rec.coords, window.arity)) continue;
-      rec.agg.sum = static_cast<int64_t>(DecodeFixed64(entry + coord_bytes));
-      rec.agg.count = DecodeFixed32(entry + coord_bytes + 8);
-      ++s->points_emitted;
-      emit(static_cast<const PointRecord&>(rec));
+    // Open and OpenLeaf bound the arity by dims() <= kMaxDims; the switch
+    // only picks the instantiation of the one scan loop.
+    switch (window.arity) {
+      case 0: ScanLeaf<0>(query, window, &rec, emit, s); break;
+      case 1: ScanLeaf<1>(query, window, &rec, emit, s); break;
+      case 2: ScanLeaf<2>(query, window, &rec, emit, s); break;
+      case 3: ScanLeaf<3>(query, window, &rec, emit, s); break;
+      case 4: ScanLeaf<4>(query, window, &rec, emit, s); break;
+      case 5: ScanLeaf<5>(query, window, &rec, emit, s); break;
+      case 6: ScanLeaf<6>(query, window, &rec, emit, s); break;
+      case 7: ScanLeaf<7>(query, window, &rec, emit, s); break;
+      case 8: ScanLeaf<8>(query, window, &rec, emit, s); break;
+      default:
+        return Status::Corruption("rtree: leaf arity above kMaxDims in " +
+                                  path());
     }
   }
   if (scan.active()) {
@@ -239,6 +254,22 @@ Status PackedRTree::Search(const Rect& query, Emit&& emit,
     scan.Annotate("points_emitted", s->points_emitted);
   }
   return Status::OK();
+}
+
+template <size_t Arity, typename Emit>
+void PackedRTree::ScanLeaf(const Rect& query, const LeafWindow& window,
+                           PointRecord* rec, Emit& emit, SearchStats* stats) {
+  constexpr size_t kCoordBytes = Arity * sizeof(Coord);
+  constexpr size_t kEntryBytes = kCoordBytes + kAggValueBytes;
+  for (uint16_t i = window.begin; i < window.end; ++i) {
+    const char* entry = window.entries + i * kEntryBytes;
+    std::memcpy(rec->coords, entry, kCoordBytes);
+    if (!query.ContainsPointFixed<Arity>(rec->coords)) continue;
+    rec->agg.sum = static_cast<int64_t>(DecodeFixed64(entry + kCoordBytes));
+    rec->agg.count = DecodeFixed32(entry + kCoordBytes + 8);
+    ++stats->points_emitted;
+    emit(static_cast<const PointRecord&>(*rec));
+  }
 }
 
 }  // namespace cubetree

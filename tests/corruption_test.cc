@@ -39,6 +39,7 @@
 #include "obs/metrics.h"
 #include "olap/cube_builder.h"
 #include "olap/query_model.h"
+#include "rtree/node.h"
 #include "scrub/scrubber.h"
 #include "sort/external_sorter.h"
 #include "storage/buffer_pool.h"
@@ -583,6 +584,93 @@ TEST(ScrubberTest, OptionsComeFromEnvironment) {
   ::unsetenv("CUBETREE_SCRUB_ENABLE");
   ::unsetenv("CUBETREE_SCRUB_RATE");
   ::unsetenv("CUBETREE_SCRUB_INTERVAL_MS");
+}
+
+// A leaf whose header lies about its shape while its page checksum is
+// valid (the CRC sidecar vouches for the bytes, not their meaning). Every
+// reader of leaf entries must answer Corruption before decoding one: the
+// search, Validate, and the sequential scan that feeds merge-pack, which
+// would otherwise copy `arity` coordinates into a kMaxDims-wide record or
+// read entries past the end of the page.
+void ExpectMalformedLeafIsCorruption(const std::string& tag,
+                                     void (*malform)(char* leaf)) {
+  BufferPool pool(64);
+  ScrubProvider provider;
+  CubetreeForest::Options options;
+  options.dir = MakeTestDir(tag);
+  options.name = "leafhdr";
+  options.one_tree_per_view = true;
+  std::string damaged;
+  {
+    ASSERT_OK_AND_ASSIGN(auto forest, CubetreeForest::Create(options, &pool));
+    ASSERT_OK(forest->Build({MakeView(1, {0}), MakeView(2, {1})}, &provider));
+    damaged = ForestTreePath(forest.get(), 1);
+  }
+  RewritePage(damaged, 1, malform);
+
+  {
+    ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(damaged, &pool));
+    PackedRTree::Scanner scanner = tree->ScanAll();
+    const PointRecord* rec = nullptr;
+    Status scanned = scanner.Next(&rec);
+    EXPECT_TRUE(scanned.IsCorruption()) << scanned.ToString();
+    Status searched = tree->Search(Rect::Full(tree->dims()),
+                                   [](const PointRecord&) {});
+    EXPECT_TRUE(searched.IsCorruption()) << searched.ToString();
+    Status validated = tree->Validate();
+    EXPECT_TRUE(validated.IsCorruption()) << validated.ToString();
+  }
+
+  // A refresh merge-packs the damaged tree through that scan: it must fail
+  // typed and publish nothing, leaving the old generation serving.
+  ASSERT_OK_AND_ASSIGN(auto forest, CubetreeForest::Open(options, &pool));
+  const uint64_t epoch = forest->AcquireSnapshot().epoch();
+  Status refreshed = forest->ApplyDelta(&provider);
+  EXPECT_TRUE(refreshed.IsCorruption()) << refreshed.ToString();
+  ForestSnapshot snapshot = forest->AcquireSnapshot();
+  EXPECT_EQ(snapshot.epoch(), epoch);
+  EXPECT_EQ(ForestTreePath(forest.get(), 1), damaged);
+  ASSERT_OK_AND_ASSIGN(Cubetree * healthy, snapshot.TreeForView(2));
+  int64_t sum = 0;
+  ASSERT_OK(healthy->QueryBox(
+      2, {{1, kCoordMax}},
+      [&](const Coord*, const AggValue& agg) { sum += agg.sum; }));
+  EXPECT_EQ(sum, 2 * 600 * 601 / 2);  // ScrubProvider: x * view id.
+}
+
+TEST(LeafHeaderTest, ArityAboveMaxDimsIsCorruption) {
+  ExpectMalformedLeafIsCorruption("leafhdr_arity", [](char* leaf) {
+    leaf[1] = static_cast<char>(kMaxDims + 1);
+  });
+}
+
+TEST(LeafHeaderTest, TreeDimsAboveMaxDimsIsCorruption) {
+  // Leaf arity is checked against the tree's dims, so dims itself, read
+  // from the meta page, must be bounded by kMaxDims when the tree opens.
+  BufferPool pool(64);
+  ScrubProvider provider;
+  CubetreeForest::Options options;
+  options.dir = MakeTestDir("leafhdr_dims");
+  options.name = "leafhdr";
+  options.one_tree_per_view = true;
+  std::string path;
+  {
+    ASSERT_OK_AND_ASSIGN(auto forest, CubetreeForest::Create(options, &pool));
+    ASSERT_OK(forest->Build({MakeView(1, {0})}, &provider));
+    path = ForestTreePath(forest.get(), 1);
+  }
+  RewritePage(path, 0, [](char* meta) {
+    meta[4] = static_cast<char>(kMaxDims + 1);
+  });
+  auto opened = PackedRTree::Open(path, &pool);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+}
+
+TEST(LeafHeaderTest, CountAboveCapacityIsCorruption) {
+  ExpectMalformedLeafIsCorruption("leafhdr_count", [](char* leaf) {
+    RNodeSetCount(leaf, RLeafCapacity(RNodeArity(leaf)) + 1);
+  });
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "engine/conventional_engine.h"
 #include "engine/cubetree_engine.h"
 #include "engine/query_parser.h"
+#include "obs/trace.h"
 #include "olap/cube_builder.h"
 #include "tests/test_util.h"
 
@@ -482,6 +483,189 @@ TEST_F(EngineTest, UnknownNodeFails) {
   query.bindings = {std::nullopt};
   EXPECT_FALSE(conv_->Execute(query, nullptr).ok());
   EXPECT_FALSE(cbt_->Execute(query, nullptr).ok());
+}
+
+// --- Superset re-aggregation paths ----------------------------------------
+
+/// The `plan` annotation of the search span of the last traced query.
+std::string LastSearchPlan() {
+  auto trace = obs::Tracer::Instance().LastTrace();
+  if (trace == nullptr) return "";
+  for (const obs::SpanRecord& span : trace->spans()) {
+    if (span.name != "search") continue;
+    for (const auto& [key, value] : span.annotations) {
+      if (key == "plan") return value.str();
+    }
+  }
+  return "";
+}
+
+/// A four-attribute cube (a, b, c, d) materialized as the single view
+/// (d, a, b, c). Pack order sorts that view on c, then b, then a, then d,
+/// so every query below is a superset query, and whether its groups
+/// stream or go through the hash index depends only on where the grouped
+/// attributes sit in that order.
+class SupersetReaggregationTest : public EngineTest {
+ protected:
+  void SetUp() override {
+    dir_ = MakeTestDir("reagg");
+    schema_.attr_names = {"a", "b", "c", "d"};
+    schema_.attr_domains = {12, 5, 9, 4};
+    facts_ = RandomFacts(2500, 53);
+    views_ = {MakeView(15, {3, 0, 1, 2})};
+    pool_ = std::make_unique<BufferPool>(256);
+    cbt_ = LoadEngine("reagg", /*pack_ordered=*/true);
+    obs::Tracer::Instance().Clear();
+    obs::Tracer::Instance().Enable(true);
+  }
+
+  void TearDown() override {
+    obs::Tracer::Instance().Enable(false);
+    obs::Tracer::Instance().Clear();
+  }
+
+  std::vector<FactTuple> RandomFacts(int n, uint64_t seed) const {
+    Rng rng(seed);
+    std::vector<FactTuple> facts;
+    for (int i = 0; i < n; ++i) {
+      FactTuple t;
+      for (size_t a = 0; a < schema_.num_attrs(); ++a) {
+        t.attr_values[a] =
+            static_cast<Coord>(1 + rng.Uniform(schema_.attr_domains[a]));
+      }
+      t.measure = static_cast<int64_t>(1 + rng.Uniform(50));
+      facts.push_back(t);
+    }
+    return facts;
+  }
+
+  std::unique_ptr<CubetreeEngine> LoadEngine(const std::string& name,
+                                             bool pack_ordered) {
+    CubetreeEngine::Options options;
+    options.dir = dir_;
+    options.name = name;
+    options.rtree.enforce_pack_order = pack_ordered;
+    auto created = CubetreeEngine::Create(schema_, options, pool_.get());
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    if (!created.ok()) return nullptr;
+    auto data = Compute(views_, facts_, name);
+    EXPECT_OK((*created)->Load(views_, data.get()));
+    EXPECT_OK(data->Destroy());
+    return std::move(created).value();
+  }
+
+  /// Runs `query` on `engine`, checks the answer against brute force over
+  /// `facts` and returns the plan the search span recorded.
+  std::string RunAgainstBruteForce(CubetreeEngine* engine,
+                                   const SliceQuery& query,
+                                   const std::vector<FactTuple>& facts) {
+    QueryExecStats stats;
+    auto got = engine->Execute(query, &stats);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (!got.ok()) return "";
+    EXPECT_EQ(stats.plan, "cubetree agg " + views_[0].Name(schema_));
+    got->SortRows();
+    const QueryResult expected = Reference(query, facts);
+    EXPECT_TRUE(got->SameRowsAs(expected))
+        << query.ToString(schema_) << " got " << got->rows.size()
+        << " rows, want " << expected.rows.size();
+    return LastSearchPlan();
+  }
+
+  /// SELECT ... GROUP BY the unbound attrs of `attrs`; `bindings` and
+  /// `ranges` are parallel to `attrs` (empty = none).
+  static SliceQuery Query(std::vector<uint32_t> attrs,
+                          std::vector<std::optional<Coord>> bindings,
+                          std::vector<std::optional<std::pair<Coord, Coord>>>
+                              ranges = {}) {
+    SliceQuery query;
+    for (uint32_t attr : attrs) query.node_mask |= 1u << attr;
+    query.attrs = std::move(attrs);
+    query.bindings = std::move(bindings);
+    query.ranges = std::move(ranges);
+    return query;
+  }
+};
+
+TEST_F(SupersetReaggregationTest, StreamsWhenGroupsLeadPackOrder) {
+  // (b, c) are the two most significant positions of (d, a, b, c).
+  EXPECT_EQ(RunAgainstBruteForce(
+                cbt_.get(), Query({1, 2}, {std::nullopt, std::nullopt}),
+                facts_),
+            "stream");
+  EXPECT_EQ(RunAgainstBruteForce(
+                cbt_.get(),
+                Query({1, 2}, {std::nullopt, std::nullopt},
+                      {std::make_pair(Coord{2}, Coord{4}),
+                       std::make_pair(Coord{3}, Coord{7})}),
+                facts_),
+            "stream");
+  EXPECT_EQ(RunAgainstBruteForce(cbt_.get(), Query({2}, {std::nullopt}),
+                                 facts_),
+            "stream");
+}
+
+TEST_F(SupersetReaggregationTest, StreamsAcrossAnEqualityPinnedAttr) {
+  // b pinned between the grouped c and a: within the scan it is constant,
+  // so the groups of (a, c) still arrive one after another.
+  for (Coord b = 1; b <= 5; ++b) {
+    SCOPED_TRACE("b = " + std::to_string(b));
+    EXPECT_EQ(RunAgainstBruteForce(
+                  cbt_.get(),
+                  Query({0, 1, 2}, {std::nullopt, b, std::nullopt}), facts_),
+              "stream");
+  }
+  // The pinned attr may also be the most significant one.
+  EXPECT_EQ(RunAgainstBruteForce(
+                cbt_.get(),
+                Query({0, 1, 2}, {std::nullopt, std::nullopt, Coord{4}}),
+                facts_),
+            "stream");
+}
+
+TEST_F(SupersetReaggregationTest, HashesOverDeltaTrees) {
+  // A delta tree is a second sorted run: the same key can arrive from
+  // both, so the pinned-attr query of the streaming test falls back.
+  const std::vector<FactTuple> delta = RandomFacts(400, 54);
+  auto data = Compute(views_, delta, "reagg_delta");
+  ASSERT_OK(cbt_->ApplyDeltaPartial(data.get()));
+  ASSERT_OK(data->Destroy());
+  ASSERT_GT(cbt_->forest()->TotalDeltas(), 0u);
+  std::vector<FactTuple> all = facts_;
+  all.insert(all.end(), delta.begin(), delta.end());
+  for (Coord b = 1; b <= 5; ++b) {
+    SCOPED_TRACE("b = " + std::to_string(b));
+    EXPECT_EQ(RunAgainstBruteForce(
+                  cbt_.get(),
+                  Query({0, 1, 2}, {std::nullopt, b, std::nullopt}), all),
+              "reaggregate");
+  }
+}
+
+TEST_F(SupersetReaggregationTest, HashesWhenGroupsSkipAnOpenAttr) {
+  // (a, c) skip the open b: one c value's groups interleave across b.
+  EXPECT_EQ(RunAgainstBruteForce(
+                cbt_.get(), Query({0, 2}, {std::nullopt, std::nullopt}),
+                facts_),
+            "reaggregate");
+  // A range on b collapsed out of the output leaves b unpinned too.
+  SliceQuery collapsed =
+      Query({0, 1, 2}, {std::nullopt, std::nullopt, std::nullopt},
+            {std::nullopt, std::make_pair(Coord{2}, Coord{4}), std::nullopt});
+  collapsed.grouped = {true, false, true};
+  EXPECT_EQ(RunAgainstBruteForce(cbt_.get(), collapsed, facts_),
+            "reaggregate");
+}
+
+TEST_F(SupersetReaggregationTest, HashesWithoutPackOrderGuarantee) {
+  // A tree whose meta page records no pack-order guarantee promises no
+  // emission order, so even a leading grouping takes the hash index.
+  auto unordered = LoadEngine("reagg_unordered", /*pack_ordered=*/false);
+  ASSERT_NE(unordered, nullptr);
+  EXPECT_EQ(RunAgainstBruteForce(
+                unordered.get(), Query({1, 2}, {std::nullopt, std::nullopt}),
+                facts_),
+            "reaggregate");
 }
 
 // --- Query parser --------------------------------------------------------

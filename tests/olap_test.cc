@@ -485,5 +485,34 @@ TEST(QueryModelTest, QueryResultComparison) {
   EXPECT_FALSE(a.SameRowsAs(b));
 }
 
+TEST(QueryModelTest, GroupKeyComparesLikeVector) {
+  // Narrow values and widths 0..kMaxDims: plenty of ties and of keys that
+  // are prefixes of others, where a hand-written order would slip.
+  Rng rng(91);
+  std::vector<std::vector<Coord>> vectors;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<Coord> v(rng.Uniform(kMaxDims + 1));
+    for (Coord& c : v) c = static_cast<Coord>(rng.Uniform(3));
+    vectors.push_back(std::move(v));
+  }
+  std::vector<GroupKey> keys(vectors.begin(), vectors.end());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(std::vector<Coord>(keys[i].begin(), keys[i].end()), vectors[i]);
+    for (size_t j = 0; j < keys.size(); ++j) {
+      ASSERT_EQ(keys[i] < keys[j], vectors[i] < vectors[j]) << i << " " << j;
+      ASSERT_EQ(keys[i] == keys[j], vectors[i] == vectors[j]) << i << " " << j;
+      ASSERT_EQ(keys[i] != keys[j], vectors[i] != vectors[j]) << i << " " << j;
+    }
+  }
+  // Hence SortRows orders rows exactly as it did on vector keys.
+  QueryResult result;
+  for (const auto& v : vectors) result.rows.push_back({v, AggValue{1, 1}});
+  result.SortRows();
+  std::sort(vectors.begin(), vectors.end());
+  for (size_t i = 0; i < vectors.size(); ++i) {
+    EXPECT_EQ(result.rows[i].group, GroupKey(vectors[i])) << i;
+  }
+}
+
 }  // namespace
 }  // namespace cubetree

@@ -696,10 +696,14 @@ TEST_F(PackedRTreeTest, SortedSearchMatchesLinearSearchAndBruteForce) {
     std::copy(rec.coords, rec.coords + kMaxDims, hit.coords.begin());
     return hit;
   };
-  for (int round = 0; round < 12; ++round) {
+  // Rounds 0..11 sweep dims 1..5; rounds 12..17 add 6..8, so leaves of
+  // every arity 0..kMaxDims reach the search's per-arity scan loop.
+  static_assert(kMaxDims == 8, "extend the rounds to reach every arity");
+  for (int round = 0; round < 18; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     Rng rng(7700 + round);
-    const uint8_t dims = static_cast<uint8_t>(1 + round % 5);
+    const uint8_t dims = static_cast<uint8_t>(
+        round < 12 ? 1 + round % 5 : 6 + (round - 12) % 3);
     // Small domains make ties on the pack-major key common; one dimension
     // needs a wider one to fill three levels.
     const Coord domain =
