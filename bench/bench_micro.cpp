@@ -14,8 +14,11 @@
 #include "bench/bench_json.h"
 #include "btree/btree.h"
 #include "common/coding.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "cubetree/merge_pack.h"
+#include "engine/cubetree_engine.h"
+#include "olap/cube_builder.h"
 #include "rtree/packed_rtree.h"
 #include "sort/external_sorter.h"
 #include "storage/buffer_pool.h"
@@ -224,6 +227,105 @@ void BM_PackedRTreeSearchColdRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PackedRTreeSearchColdRead)->Arg(1)->Arg(0);
+
+// CRC-32C of one 8 KiB page, the unit every verify-on-read and sidecar
+// write checksums. Arg 1 = Crc32c as dispatched (three interleaved SSE4.2
+// streams where the CPU has them), Arg 0 = the slice-by-8 fallback.
+void BM_Crc32cPage(benchmark::State& state) {
+  const bool dispatched = state.range(0) != 0;
+  std::vector<unsigned char> page(kPageSize);
+  Rng rng(3);
+  for (auto& b : page) b = static_cast<unsigned char>(rng.Uniform(256));
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = dispatched
+              ? Crc32c(page.data(), page.size(), crc)
+              : crc32_internal::Crc32cSlice8(page.data(), page.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * kPageSize);
+}
+BENCHMARK(BM_Crc32cPage)->Arg(1)->Arg(0);
+
+// Superset re-aggregation through CubetreeEngine::Execute: one view
+// (a, b, c) over 300k facts with 100 values per attr, pack-ordered on c,
+// then b, then a, held in a warm pool, and three queries that fold the
+// same full scan into ~10k groups of two attrs. The arg picks the
+// aggregator's shape: 0 = stream (GROUP BY c, b: groups arrive one after
+// another), 1 = run-keyed index (GROUP BY c, a: an index per c-run),
+// 2 = whole-answer index (GROUP BY b, a: no run key). Items = points
+// examined.
+void BM_SupersetAggregate(benchmark::State& state) {
+  static const char* const kShapes[] = {"stream", "run-keyed", "whole"};
+  const int shape = static_cast<int>(state.range(0));
+  state.SetLabel(kShapes[shape]);
+  const std::string dir = std::string(kDir) + "/superset";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  MakeBenchDir(dir.c_str());
+  CubeSchema schema;
+  schema.attr_names = {"a", "b", "c"};
+  schema.attr_domains = {100, 100, 100};
+  std::vector<FactTuple> facts(300000);
+  Rng rng(29);
+  for (FactTuple& t : facts) {
+    for (size_t a = 0; a < 3; ++a) {
+      t.attr_values[a] = 1 + static_cast<Coord>(rng.Uniform(100));
+    }
+    t.measure = static_cast<int64_t>(1 + rng.Uniform(50));
+  }
+  ViewDef view;
+  view.id = 7;
+  view.attrs = {0, 1, 2};
+  class Provider : public FactProvider {
+   public:
+    explicit Provider(const std::vector<FactTuple>* facts) : facts_(facts) {}
+    Result<std::unique_ptr<FactSource>> Open() override {
+      return std::unique_ptr<FactSource>(
+          std::make_unique<VectorFactSource>(facts_));
+    }
+
+   private:
+    const std::vector<FactTuple>* facts_;
+  } provider(&facts);
+  CubeBuilder::Options build_options;
+  build_options.temp_dir = dir;
+  CubeBuilder builder(schema, build_options);
+  auto data = builder.ComputeAll({view}, &provider, "agg");
+  BufferPool pool(8192);  // Holds the whole tree: the fold is CPU-bound.
+  CubetreeEngine::Options options;
+  options.dir = dir;
+  options.name = "agg";
+  auto engine = CubetreeEngine::Create(schema, options, &pool);
+  if (!data.ok() || !engine.ok() || !(*engine)->Load({view}, data->get()).ok() ||
+      !(*data)->Destroy().ok()) {
+    state.SkipWithError("engine setup failed");
+    return;
+  }
+  SliceQuery query;
+  query.attrs = shape == 0 ? std::vector<uint32_t>{2, 1}
+                : shape == 1 ? std::vector<uint32_t>{2, 0}
+                             : std::vector<uint32_t>{1, 0};
+  for (uint32_t attr : query.attrs) query.node_mask |= 1u << attr;
+  query.bindings.assign(2, std::nullopt);
+  uint64_t examined = 0;
+  size_t rows = 0;
+  for (auto _ : state) {
+    QueryExecStats stats;
+    auto result = (*engine)->Execute(query, &stats);
+    if (!result.ok()) {
+      state.SkipWithError("query failed");
+      return;
+    }
+    benchmark::DoNotOptimize(result->rows.data());
+    examined += stats.tuples_accessed;
+    rows = result->rows.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(examined));
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_SupersetAggregate)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
 void BM_MergePack(benchmark::State& state) {
   MakeBenchDir(kDir);

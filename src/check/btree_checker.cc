@@ -32,6 +32,9 @@ std::string KeyString(const uint32_t* key, uint8_t parts) {
 }  // namespace
 
 struct BTreeChecker::Impl {
+  Impl(std::string path_in, CheckOptions options_in)
+      : path(std::move(path_in)), options(options_in) {}
+
   std::string path;
   CheckOptions options;
 
@@ -65,7 +68,7 @@ struct BTreeChecker::Impl {
 };
 
 BTreeChecker::BTreeChecker(std::string path, CheckOptions options)
-    : impl_(new Impl{std::move(path), options}) {}
+    : impl_(new Impl(std::move(path), options)) {}
 
 BTreeChecker::~BTreeChecker() = default;
 

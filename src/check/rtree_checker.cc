@@ -22,6 +22,12 @@ std::string PageContext(const std::string& path, PageId page) {
 }  // namespace
 
 struct RTreeChecker::Impl {
+  Impl(std::string path_in, CheckOptions options_in,
+       std::function<uint8_t(uint32_t)> view_arity_in)
+      : path(std::move(path_in)),
+        options(options_in),
+        view_arity(std::move(view_arity_in)) {}
+
   std::string path;
   CheckOptions options;
   std::function<uint8_t(uint32_t)> view_arity;
@@ -53,7 +59,7 @@ struct RTreeChecker::Impl {
 
 RTreeChecker::RTreeChecker(std::string path, CheckOptions options,
                            std::function<uint8_t(uint32_t)> view_arity)
-    : impl_(new Impl{std::move(path), options, std::move(view_arity)}) {}
+    : impl_(new Impl(std::move(path), options, std::move(view_arity))) {}
 
 RTreeChecker::~RTreeChecker() = default;
 

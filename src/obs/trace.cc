@@ -11,7 +11,7 @@ namespace cubetree {
 namespace obs {
 
 namespace trace_internal {
-thread_local AmbientTrace t_ambient;
+constinit thread_local AmbientTrace t_ambient;
 constinit thread_local QueryCounters* t_query_counters = nullptr;
 }  // namespace trace_internal
 

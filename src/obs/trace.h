@@ -32,7 +32,7 @@ struct AmbientTrace {
   int32_t span = -1;  // Index of the innermost open span.
 };
 
-extern thread_local AmbientTrace t_ambient;
+extern constinit thread_local AmbientTrace t_ambient;
 
 /// Per-query storage attribution, independent of tracing: the engine
 /// installs a stack-allocated QueryCounters for the duration of one

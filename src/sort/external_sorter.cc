@@ -397,11 +397,12 @@ Status ExternalSorter::SpillRun() {
   return Status::OK();
 }
 
-void ExternalSorter::SpillWorkerBody(std::vector<char> buf,
-                                     MemoryReservation res) {
-  // `res` pins the detached buffer's budget share until this worker
-  // returns. Spans land in a local trace spliced at join (Defer, not
-  // Adopt: the adding thread keeps tracing while we run).
+void ExternalSorter::SpillWorkerBody(
+    std::vector<char> buf, [[maybe_unused]] MemoryReservation res) {
+  // `res` is never read: holding it by value pins the detached buffer's
+  // budget share until this worker returns, and its destructor releases
+  // it. Spans land in a local trace spliced at join (Defer, not Adopt: the
+  // adding thread keeps tracing while we run).
   obs::TraceHandoff::Defer defer(trace_handoff_);
   Status spilled;
   try {

@@ -252,6 +252,32 @@ TEST(Crc32cTest, SeedChainingEqualsConcatenation) {
   }
 }
 
+TEST(Crc32cTest, Slice8FallbackEqualsCrc32c) {
+  // On an SSE4.2 host Crc32c never reaches the slice-by-8 path, so it is
+  // held to the dispatched function here: every length across three pages
+  // (covering the hardware path's long triples, short triples and word /
+  // byte tails), unaligned starts, random seeds and seed chaining.
+  constexpr size_t kMaxLen = 3 * 8192 + 17;
+  constexpr size_t kMaxOffset = 7;
+  Rng rng(2024);
+  std::vector<unsigned char> buf(kMaxLen + kMaxOffset);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Uniform(256));
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    const size_t offset = len % (kMaxOffset + 1);
+    const uint32_t seed = static_cast<uint32_t>(rng.Uniform(1ull << 32));
+    const unsigned char* p = buf.data() + offset;
+    ASSERT_EQ(crc32_internal::Crc32cSlice8(p, len, seed), Crc32c(p, len, seed))
+        << "len " << len << " offset " << offset << " seed " << seed;
+    if (len % 997 != 0) continue;
+    const size_t split = static_cast<size_t>(rng.Uniform(len + 1));
+    const uint32_t head = crc32_internal::Crc32cSlice8(p, split, seed);
+    ASSERT_EQ(crc32_internal::Crc32cSlice8(p + split, len - split, head),
+              Crc32c(p, len, seed))
+        << "len " << len << " split " << split;
+  }
+  EXPECT_EQ(crc32_internal::Crc32cSlice8("123456789", 9), 0xE3069283u);
+}
+
 TEST(LoggingTest, RespectsLevel) {
   const LogLevel old = GetLogLevel();
   SetLogLevel(LogLevel::kError);
