@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -327,29 +328,44 @@ void BM_SupersetAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_SupersetAggregate)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
+// The k-way merge an ApplyDelta runs: a 100k-point main tree, `pending`
+// (the arg) pending delta trees and a 10k-point increment, packed by
+// PackedRTree::Build into a new file.
 void BM_MergePack(benchmark::State& state) {
   MakeBenchDir(kDir);
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  auto base = MakeSortedPoints(n);
-  auto delta = MakeSortedPoints(n / 10);
+  const uint32_t n = 100000;
+  const int64_t pending = state.range(0);
+  const auto delta = MakeSortedPoints(n / 10);
   BufferPool pool(256);
   RTreeOptions options;
   options.dims = 3;
-  VectorPointSource base_source(base);
-  auto old_tree = std::move(
-      PackedRTree::Build(std::string(kDir) + "/mp_base.ctr", options, &pool,
-                         &base_source, [](uint32_t) { return 3; })
-          .value());
-  for (auto _ : state) {
-    VectorPointSource delta_source(delta);
-    auto merged = MergePack(old_tree.get(), &delta_source,
-                            std::string(kDir) + "/mp_out.ctr", options,
-                            &pool, [](uint32_t) { return 3; });
-    if (!merged.ok()) state.SkipWithError("merge failed");
+  auto arity = [](uint32_t) { return static_cast<uint8_t>(3); };
+  auto build = [&](const std::string& name, std::vector<PointRecord> points) {
+    VectorPointSource source(std::move(points));
+    return std::move(PackedRTree::Build(std::string(kDir) + "/" + name,
+                                        options, &pool, &source, arity)
+                         .value());
+  };
+  std::vector<std::unique_ptr<PackedRTree>> trees;
+  trees.push_back(build("mp_base.ctr", MakeSortedPoints(n)));
+  for (int64_t d = 0; d < pending; ++d) {
+    trees.push_back(build("mp_d" + std::to_string(d) + ".ctr", delta));
   }
-  state.SetItemsProcessed(state.iterations() * (n + n / 10));
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<PointSource>> inputs;
+    for (const auto& tree : trees) {
+      inputs.push_back(std::make_unique<PackedRTree::Scanner>(tree.get()));
+    }
+    inputs.push_back(std::make_unique<VectorPointSource>(delta));
+    MergePointSource merged(std::move(inputs), options.dims);
+    auto out = PackedRTree::Build(std::string(kDir) + "/mp_out.ctr", options,
+                                  &pool, &merged, arity);
+    if (!out.ok()) state.SkipWithError("merge failed");
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * (n + (pending + 1) * (n / 10)));
 }
-BENCHMARK(BM_MergePack)->Arg(100000);
+BENCHMARK(BM_MergePack)->Arg(0)->Arg(3);
 
 void BM_BTreeInsertRandom(benchmark::State& state) {
   MakeBenchDir(kDir);

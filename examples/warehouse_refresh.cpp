@@ -11,7 +11,8 @@
 // whichever generation the crash left committed.
 //
 // If the volume fills mid-week (simulate with
-// CUBETREE_FAILPOINTS='disk.preflight=enospc'), the refresh is refused
+// CUBETREE_FAILPOINTS='disk.preflight=enospc(1)@2': the load is the first
+// preflight, the first night's refresh the second), the refresh is refused
 // with a typed StorageFull before any byte is written — the dashboard
 // keeps serving the committed generation — and the program reclaims dead
 // files and retries, the same loop an operator runs after freeing space.

@@ -10,13 +10,6 @@ Result<const ViewDef*> Cubetree::FindView(uint32_t view_id) const {
                           " not stored in this Cubetree");
 }
 
-uint8_t Cubetree::ViewArity(uint32_t view_id) const {
-  for (const ViewDef& v : views_) {
-    if (v.id == view_id) return v.arity();
-  }
-  return 0;
-}
-
 std::vector<std::pair<Coord, Coord>> Cubetree::SliceIntervals(
     const std::vector<std::optional<Coord>>& bindings) {
   std::vector<std::pair<Coord, Coord>> intervals;

@@ -32,8 +32,8 @@ namespace cubetree {
 /// refresh publishes a new Cubetree sharing the old main tree plus one more
 /// delta, while snapshots pinned to the previous generation keep the old
 /// object alive. A built tree is immutable, so concurrent QueryBox calls
-/// from many threads are safe; the mutators (ReplaceTree/AddDelta/
-/// TakeDeltas) are reserved for construction before the tree is published.
+/// from many threads are safe; the one mutator (AddDelta) is reserved for
+/// construction before the tree is published.
 class Cubetree {
  public:
   Cubetree(std::vector<ViewDef> views, std::shared_ptr<PackedRTree> tree)
@@ -48,11 +48,6 @@ class Cubetree {
   const std::shared_ptr<PackedRTree>& shared_rtree() const { return tree_; }
   uint8_t dims() const { return tree_->dims(); }
 
-  /// Replaces the packed tree (after a merge-pack produced a new file).
-  void ReplaceTree(std::shared_ptr<PackedRTree> tree) {
-    tree_ = std::move(tree);
-  }
-
   /// Attaches one more delta tree (most recent last).
   void AddDelta(std::shared_ptr<PackedRTree> delta) {
     deltas_.push_back(std::move(delta));
@@ -62,11 +57,6 @@ class Cubetree {
   PackedRTree* delta(size_t i) { return deltas_[i].get(); }
   const std::vector<std::shared_ptr<PackedRTree>>& shared_deltas() const {
     return deltas_;
-  }
-  /// Drops all delta trees (after a compaction folded them into the main
-  /// tree). Does not remove files.
-  std::vector<std::shared_ptr<PackedRTree>> TakeDeltas() {
-    return std::move(deltas_);
   }
 
   /// Bytes across the main tree and all delta trees.
@@ -84,10 +74,6 @@ class Cubetree {
   }
 
   Result<const ViewDef*> FindView(uint32_t view_id) const;
-
-  /// Arity of view `view_id`, or 0 if unknown (used as the packer's
-  /// view_arity callback).
-  uint8_t ViewArity(uint32_t view_id) const;
 
   /// Builds the query box of a slice over `view`: bindings[i] pins
   /// view.attrs[i] to an exact key, nullopt leaves it open. Coordinates
@@ -151,20 +137,6 @@ Status Cubetree::QueryBox(
   }
   return Status::OK();
 }
-
-/// Adapts a pack-order leaf scan of an existing tree into a PointSource
-/// (the "old Cubetree" input of the merge-pack of Figure 15).
-class ScannerPointSource : public PointSource {
- public:
-  explicit ScannerPointSource(PackedRTree* tree) : scanner_(tree->ScanAll()) {}
-
-  Status Next(const PointRecord** record) override {
-    return scanner_.Next(record);
-  }
-
- private:
-  PackedRTree::Scanner scanner_;
-};
 
 }  // namespace cubetree
 

@@ -72,63 +72,6 @@ class MultiViewPointSource : public PointSource {
   PointRecord record_;
 };
 
-/// Wraps a PointSource with cooperative cancellation: when a sibling
-/// refresh worker fails, the shared CancelFlag flips and every other
-/// worker's merge-pack aborts at its next poll instead of finishing a tree
-/// that is about to be thrown away. Polling every 1024 records keeps the
-/// per-record cost to a predictable branch.
-class CancellablePointSource : public PointSource {
- public:
-  CancellablePointSource(PointSource* inner, const CancelFlag* cancel)
-      : inner_(inner), cancel_(cancel) {}
-
-  Status Next(const PointRecord** record) override {
-    if ((++polls_ & 1023u) == 0 && cancel_->cancelled()) {
-      return Status::Cancelled(
-          "forest: refresh cancelled by sibling worker failure");
-    }
-    return inner_->Next(record);
-  }
-
- private:
-  PointSource* inner_;
-  const CancelFlag* cancel_;
-  uint64_t polls_ = 0;
-};
-
-/// A full refresh's input for one tree: the tree's main and pending delta
-/// trees merged, pairwise, with the pack-ordered increment. Owns the chain
-/// and holds the tree so the scanned files stay open.
-class MergedTreeSource : public PointSource {
- public:
-  MergedTreeSource(std::shared_ptr<Cubetree> tree,
-                   std::unique_ptr<PointSource> increment, uint8_t dims)
-      : tree_(std::move(tree)) {
-    inputs_.push_back(std::make_unique<ScannerPointSource>(tree_->rtree()));
-    for (size_t d = 0; d < tree_->num_deltas(); ++d) {
-      inputs_.push_back(
-          std::make_unique<ScannerPointSource>(tree_->delta(d)));
-    }
-    inputs_.push_back(std::move(increment));
-    head_ = inputs_[0].get();
-    for (size_t i = 1; i < inputs_.size(); ++i) {
-      merges_.push_back(
-          std::make_unique<MergePointSource>(head_, inputs_[i].get(), dims));
-      head_ = merges_.back().get();
-    }
-  }
-
-  Status Next(const PointRecord** record) override {
-    return head_->Next(record);
-  }
-
- private:
-  std::shared_ptr<Cubetree> tree_;
-  std::vector<std::unique_ptr<PointSource>> inputs_;
-  std::vector<std::unique_ptr<MergePointSource>> merges_;
-  PointSource* head_ = nullptr;
-};
-
 /// Sets `path` and its checksum sidecar aside under a ".quarantine"
 /// suffix, recording the aside names for the post-rebuild cleanup. The
 /// sidecar follows its data file so a rebuilt generation never pairs with
@@ -692,12 +635,9 @@ Result<std::unique_ptr<PointSource>> CubetreeForest::OpenTreeSource(
 }
 
 std::function<uint8_t(uint32_t)> CubetreeForest::ArityFn() const {
-  // Capture a by-value arity map so the callback stays valid.
-  std::map<uint32_t, uint8_t> arities;
-  for (const auto& [id, view] : views_by_id_) arities[id] = view.arity();
-  return [arities](uint32_t view_id) {
-    auto it = arities.find(view_id);
-    return it == arities.end() ? static_cast<uint8_t>(0) : it->second;
+  return [this](uint32_t view_id) {
+    auto it = views_by_id_.find(view_id);
+    return it == views_by_id_.end() ? uint8_t{0} : it->second.arity();
   };
 }
 
@@ -707,6 +647,25 @@ Status CubetreeForest::Build(const std::vector<ViewDef>& views,
   if (!trees_.empty()) {
     return Status::InvalidArgument("forest: already built");
   }
+  Status status = BuildLocked(views, provider);
+  // A load that failed before its commit installed no tree: forget the
+  // plan too, leaving the forest as Create left it for a retry.
+  if (!status.ok() && (trees_.empty() || trees_.front() == nullptr)) {
+    views_.clear();
+    views_by_id_.clear();
+    plan_ = ForestPlan();
+    trees_.clear();
+    generations_.clear();
+    delta_generations_.clear();
+    next_delta_generation_.clear();
+    quarantined_.clear();
+    quarantine_files_.clear();
+  }
+  return status;
+}
+
+Status CubetreeForest::BuildLocked(const std::vector<ViewDef>& views,
+                                   ViewDataProvider* provider) {
   views_ = views;
   for (const ViewDef& v : views_) {
     if (!views_by_id_.emplace(v.id, v).second) {
@@ -739,26 +698,25 @@ Status CubetreeForest::Build(const std::vector<ViewDef>& views,
     }
     CT_DCHECK(placed.size() == views_.size()) << "plan left a view unplaced";
   }
-  generations_.assign(plan_.trees.size(), 0);
-  delta_generations_.assign(plan_.trees.size(), {});
-  next_delta_generation_.assign(plan_.trees.size(), 0);
-  quarantined_.assign(plan_.trees.size(), false);
-  quarantine_files_.assign(plan_.trees.size(), {});
+  const size_t num_trees = plan_.trees.size();
+  trees_.assign(num_trees, nullptr);
+  generations_.assign(num_trees, 0);
+  delta_generations_.assign(num_trees, {});
+  next_delta_generation_.assign(num_trees, 0);
+  quarantined_.assign(num_trees, false);
+  quarantine_files_.assign(num_trees, {});
 
-  for (size_t t = 0; t < plan_.trees.size(); ++t) {
+  // The load writes generation 0 of every tree.
+  std::vector<RefreshTask> tasks;
+  for (size_t t = 0; t < num_trees; ++t) {
     CT_ASSIGN_OR_RETURN(auto source, OpenTreeSource(t, provider));
-    RTreeOptions tree_options = options_.rtree;
-    tree_options.dims = plan_.trees[t].dims;
-    CT_ASSIGN_OR_RETURN(
-        auto rtree,
-        PackedRTree::Build(TreePath(t, 0), tree_options, pool_, source.get(),
-                           ArityFn(), io_stats_));
-    trees_.push_back(
-        std::make_shared<Cubetree>(TreeViews(t), std::move(rtree)));
+    tasks.push_back({t, std::move(source), TreePath(t, 0), 0, false});
   }
-  CT_RETURN_NOT_OK(SaveManifestDurable(generations_, delta_generations_));
-  PublishState();
-  return Status::OK();
+  return CommitGeneration(
+      std::move(tasks),
+      EstimateRefreshBytes(0, provider->EstimatedInputBytes(),
+                           ResolvedRefreshThreads(num_trees)),
+      "refresh.load_pack");
 }
 
 Status CubetreeForest::RefreshableLocked() const {
@@ -799,7 +757,6 @@ Status CubetreeForest::CommitGeneration(std::vector<RefreshTask> tasks,
   // members. Each builds its pack span in a private child trace, spliced
   // back under the refresh trace when its task ends.
   std::vector<std::unique_ptr<PackedRTree>> built(tasks.size());
-  const auto arity_fn = ArityFn();
   obs::TraceHandoff handoff;
   Status status = ParallelFor(
       tasks.size(), ResolvedRefreshThreads(tasks.size()),
@@ -808,12 +765,12 @@ Status CubetreeForest::CommitGeneration(std::vector<RefreshTask> tasks,
         const RefreshTask& task = tasks[i];
         obs::Span pack(pack_span);
         pack.Annotate("tree", static_cast<uint64_t>(task.tree));
-        CancellablePointSource source(task.source.get(), cancel);
         RTreeOptions tree_options = options_.rtree;
         tree_options.dims = plan_.trees[task.tree].dims;
-        CT_ASSIGN_OR_RETURN(built[i],
-                            PackedRTree::Build(task.path, tree_options, pool_,
-                                               &source, arity_fn, io_stats_));
+        CT_ASSIGN_OR_RETURN(
+            built[i], PackedRTree::Build(task.path, tree_options, pool_,
+                                         task.source.get(), ArityFn(),
+                                         io_stats_, cancel));
         pack.Annotate("points", built[i]->num_points());
         CT_FAULT("forest.refresh.build");
         if (task.delta && built[i]->num_points() == 0) {
@@ -896,15 +853,22 @@ Status CubetreeForest::ApplyDelta(ViewDataProvider* delta_provider) {
   MutexLock refresh_lock(refresh_mu_);
   CT_RETURN_NOT_OK(RefreshableLocked());
   // Merge-pack each tree's main, pending delta trees and increment into
-  // its next main generation.
+  // its next main generation, in one k-way merge. trees_ keeps the scanned
+  // trees open until the commit replaces them.
   std::vector<RefreshTask> tasks;
   for (size_t t = 0; t < trees_.size(); ++t) {
+    std::vector<std::unique_ptr<PointSource>> inputs;
+    inputs.push_back(
+        std::make_unique<PackedRTree::Scanner>(trees_[t]->rtree()));
+    for (const auto& delta : trees_[t]->shared_deltas()) {
+      inputs.push_back(std::make_unique<PackedRTree::Scanner>(delta.get()));
+    }
     CT_ASSIGN_OR_RETURN(auto increment, OpenTreeSource(t, delta_provider));
-    tasks.push_back(NextTask(
-        t,
-        std::make_unique<MergedTreeSource>(trees_[t], std::move(increment),
-                                           plan_.trees[t].dims),
-        /*delta=*/false));
+    inputs.push_back(std::move(increment));
+    tasks.push_back(NextTask(t,
+                             std::make_unique<MergePointSource>(
+                                 std::move(inputs), plan_.trees[t].dims),
+                             /*delta=*/false));
   }
   return CommitGeneration(
       std::move(tasks),
@@ -1014,10 +978,10 @@ Result<std::map<uint32_t, uint64_t>> CubetreeForest::CountPointsPerView() {
   for (size_t t = 0; t < trees_.size(); ++t) {
     if (trees_[t] == nullptr) continue;
     auto scan_tree = [&counts](PackedRTree* rtree) -> Status {
-      ScannerPointSource source(rtree);
+      PackedRTree::Scanner scanner(rtree);
       const PointRecord* record = nullptr;
       while (true) {
-        CT_RETURN_NOT_OK(source.Next(&record));
+        CT_RETURN_NOT_OK(scanner.Next(&record));
         if (record == nullptr) break;
         ++counts[record->view_id];
       }
@@ -1267,13 +1231,10 @@ Status CubetreeForest::Destroy() {
   // the API contract); its tokens are unretired, so this deletes nothing —
   // the explicit removal below does.
   SwapPublished(nullptr);
-  for (auto& tree : trees_) {
-    if (!tree) continue;
-    std::vector<std::string> paths = {tree->rtree()->path()};
-    for (size_t d = 0; d < tree->num_deltas(); ++d) {
-      paths.push_back(tree->delta(d)->path());
-    }
-    tree.reset();
+  for (size_t t = 0; t < trees_.size(); ++t) {
+    if (!trees_[t]) continue;
+    const std::vector<std::string> paths = TreeFilesLocked(t);
+    trees_[t].reset();
     for (const std::string& path : paths) {
       CT_RETURN_NOT_OK(RemoveFileIfExists(path));
       CT_RETURN_NOT_OK(RemoveChecksumSidecar(path));

@@ -258,7 +258,9 @@ class CubetreeForest {
       ForestRecoveryReport* report = nullptr,
       RecoverOptions recover = RecoverOptions());
 
-  /// Plans placement and bulk-builds every tree. Call once.
+  /// Plans placement and packs every tree's generation 0 through the
+  /// refresh transaction (CommitGeneration). Call once; a failed load
+  /// leaves no file behind and can be retried.
   Status Build(const std::vector<ViewDef>& views, ViewDataProvider* provider)
       EXCLUDES(refresh_mu_);
 
@@ -429,6 +431,8 @@ class CubetreeForest {
   /// source (views in ascending arity).
   Result<std::unique_ptr<PointSource>> OpenTreeSource(
       size_t tree_index, ViewDataProvider* provider) const;
+  /// View id -> arity (0 if unknown); reads views_by_id_, so it must not
+  /// outlive the forest.
   std::function<uint8_t(uint32_t)> ArityFn() const;
 
   /// One tree's share of a refresh: pack `source` into `path`, which
@@ -444,6 +448,8 @@ class CubetreeForest {
   /// The task writing tree `t`'s next main generation (or next delta).
   RefreshTask NextTask(size_t t, std::unique_ptr<PointSource> source,
                        bool delta) const REQUIRES(refresh_mu_);
+  Status BuildLocked(const std::vector<ViewDef>& views,
+                     ViewDataProvider* provider) REQUIRES(refresh_mu_);
   /// InvalidArgument before Build, Unavailable while a tree is quarantined.
   Status RefreshableLocked() const REQUIRES(refresh_mu_);
   uint64_t RefreshBytesLocked(RefreshKind kind,
@@ -491,7 +497,8 @@ class CubetreeForest {
   BufferPool* pool_;
   std::shared_ptr<IoStats> io_stats_;
   // plan_, views_ and views_by_id_ are written once (Build/LoadManifest,
-  // under refresh_mu_) and immutable afterwards, so reads stay unguarded.
+  // under refresh_mu_; a failed Build clears them again) and immutable
+  // afterwards, so reads stay unguarded.
   ForestPlan plan_;
   std::vector<ViewDef> views_;
   std::map<uint32_t, ViewDef> views_by_id_;

@@ -3,45 +3,48 @@
 #include <cstring>
 
 #include "common/assert.h"
-#include "cubetree/cubetree.h"
 #include "rtree/geometry.h"
 
 namespace cubetree {
 
 Status MergePointSource::Next(const PointRecord** record) {
   if (!primed_) {
-    CT_RETURN_NOT_OK(a_->Next(&cur_a_));
-    CT_RETURN_NOT_OK(b_->Next(&cur_b_));
+    for (size_t i = 0; i < inputs_.size(); ++i) {
+      CT_RETURN_NOT_OK(inputs_[i]->Next(&heads_[i]));
+    }
     primed_ = true;
   }
-  if (cur_a_ == nullptr && cur_b_ == nullptr) {
+  // A refresh merges a handful of inputs (main tree, pending deltas,
+  // increment): one linear pass finds the smallest head and every input
+  // tied with it.
+  const PointRecord* min = nullptr;
+  ties_.clear();
+  for (size_t i = 0; i < heads_.size(); ++i) {
+    const PointRecord* head = heads_[i];
+    if (head == nullptr) continue;
+    const int cmp =
+        min == nullptr ? -1 : PackOrderCompare(head->coords, min->coords, dims_);
+    if (cmp < 0) {
+      min = head;
+      ties_.clear();
+    }
+    if (cmp <= 0) ties_.push_back(i);
+  }
+  if (min == nullptr) {
     *record = nullptr;
     return Status::OK();
   }
-  int cmp;
-  if (cur_a_ == nullptr) {
-    cmp = 1;
-  } else if (cur_b_ == nullptr) {
-    cmp = -1;
-  } else {
-    cmp = PackOrderCompare(cur_a_->coords, cur_b_->coords, dims_);
-  }
-  if (cmp < 0) {
-    merged_ = *cur_a_;
-    CT_RETURN_NOT_OK(a_->Next(&cur_a_));
-  } else if (cmp > 0) {
-    merged_ = *cur_b_;
-    CT_RETURN_NOT_OK(b_->Next(&cur_b_));
-  } else {
-    if (cur_a_->view_id != cur_b_->view_id) {
+  merged_ = *min;
+  for (size_t k = 1; k < ties_.size(); ++k) {
+    const PointRecord* head = heads_[ties_[k]];
+    if (head->view_id != merged_.view_id) {
       return Status::Corruption(
           "merge-pack: identical coordinates from different views");
     }
-    merged_ = *cur_a_;
-    merged_.agg.Merge(cur_b_->agg);
-    CT_RETURN_NOT_OK(a_->Next(&cur_a_));
-    CT_RETURN_NOT_OK(b_->Next(&cur_b_));
+    merged_.agg.Merge(head->agg);
   }
+  // Advance only after the copy: a source may reuse its record buffer.
+  for (size_t i : ties_) CT_RETURN_NOT_OK(inputs_[i]->Next(&heads_[i]));
   if (CT_DCHECK_IS_ON()) {
     CT_DCHECK(!have_prev_ ||
               PackOrderCompare(prev_coords_, merged_.coords, dims_) < 0)
@@ -51,21 +54,6 @@ Status MergePointSource::Next(const PointRecord** record) {
   }
   *record = &merged_;
   return Status::OK();
-}
-
-Result<std::unique_ptr<PackedRTree>> MergePack(
-    PackedRTree* old_tree, PointSource* delta, const std::string& out_path,
-    const RTreeOptions& options, BufferPool* pool,
-    std::function<uint8_t(uint32_t)> view_arity,
-    std::shared_ptr<IoStats> io_stats) {
-  if (old_tree == nullptr) {
-    return PackedRTree::Build(out_path, options, pool, delta,
-                              std::move(view_arity), std::move(io_stats));
-  }
-  ScannerPointSource old_source(old_tree);
-  MergePointSource merged(&old_source, delta, options.dims);
-  return PackedRTree::Build(out_path, options, pool, &merged,
-                            std::move(view_arity), std::move(io_stats));
 }
 
 }  // namespace cubetree

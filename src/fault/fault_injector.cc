@@ -36,15 +36,15 @@ const FaultInjector::PointInfo kRegistry[] = {
     {"storage.checksum.finalize", "writing a page file's checksum sidecar"},
     {"obs.querylog.rotate", "rotating a query/slow-trace log segment"},
     {"disk.probe", "statvfs free-space probe of the store's volume"},
-    {"disk.preflight", "refresh disk-space preflight (forced refusal)"},
+    {"disk.preflight", "load or refresh disk-space preflight (forced refusal)"},
     {"forest.manifest.create", "creating the manifest tmp file"},
     {"forest.manifest.write", "writing the manifest tmp contents"},
     {"forest.manifest.sync", "fsync of the manifest tmp file"},
     {"forest.manifest.rename", "renaming manifest tmp into place"},
     {"forest.manifest.dirsync", "fsync of the forest directory"},
-    {"forest.refresh.begin", "start of a refresh, after its preflight"},
-    {"forest.refresh.build", "after packing one refresh task's tree"},
-    {"forest.refresh.commit", "after the durable manifest swap"},
+    {"forest.refresh.begin", "start of a load or refresh, after its preflight"},
+    {"forest.refresh.build", "after packing one load or refresh task's tree"},
+    {"forest.refresh.commit", "after a load or refresh's durable manifest swap"},
     {"forest.refresh.gc", "before unlinking one retired tree file"},
     {"forest.recover.gc", "before unlinking one orphaned file in recovery"},
 };

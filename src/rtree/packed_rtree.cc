@@ -77,7 +77,7 @@ PackedRTree::~PackedRTree() {
 Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
     const std::string& path, const RTreeOptions& options, BufferPool* pool,
     PointSource* source, std::function<uint8_t(uint32_t)> view_arity,
-    std::shared_ptr<IoStats> io_stats) {
+    std::shared_ptr<IoStats> io_stats, const CancelFlag* cancel) {
   if (options.dims == 0 || options.dims > kMaxDims) {
     return Status::InvalidArgument("rtree: dims out of range");
   }
@@ -115,6 +115,11 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
   bool have_prev = false;
 
   auto flush_leaf = [&]() -> Status {
+    // A sibling worker of a parallel refresh failed: this tree is about to
+    // be thrown away, so stop rather than finish it.
+    if (cancel != nullptr && cancel->cancelled()) {
+      return Status::Cancelled("rtree: build of " + path + " cancelled");
+    }
     RNodeSetCount(leaf.data, in_leaf);
     CT_ASSIGN_OR_RETURN(PageId id, pm->AppendPage(leaf));
     level.push_back(LevelEntry{leaf_mbr, id});
@@ -134,14 +139,13 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
     std::memcpy(prev_coords, rec->coords, sizeof(prev_coords));
     have_prev = true;
 
-    const uint8_t arity =
-        options.compress_leaves ? view_arity(rec->view_id) : options.dims;
     if (leaf_open && (rec->view_id != leaf_view || in_leaf == leaf_target)) {
       CT_RETURN_NOT_OK(flush_leaf());
     }
     if (!leaf_open) {
       leaf.Zero();
-      leaf_arity = arity;
+      leaf_arity =
+          options.compress_leaves ? view_arity(rec->view_id) : options.dims;
       leaf_view = rec->view_id;
       leaf_target = std::max<uint16_t>(
           1, static_cast<uint16_t>(RLeafCapacity(leaf_arity) *
@@ -171,7 +175,7 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
   tree->num_points_ = num_points;
   tree->num_leaf_pages_ = static_cast<PageId>(level.size());
   {
-    // MergePack funnels through Build too, so these cover both the
+    // Every forest generation is packed here, so these cover both the
     // initial bulk load and every incremental refresh.
     auto& reg = obs::MetricsRegistry::Instance();
     static obs::Counter* const points_packed =

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/parallel_for.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/trace.h"
@@ -94,12 +95,14 @@ class PackedRTree {
  public:
   /// Bulk-builds a tree at `path` from `source` (sorted in pack order; view
   /// boundaries must be respected by the order, which SelectMapping
-  /// guarantees). `view_arity(view_id)` gives the number of significant
-  /// coordinates of each view.
+  /// guarantees). `view_arity(view_id)`, asked once per leaf, gives each
+  /// view's number of significant coordinates. A non-null `cancel` is
+  /// polled per leaf flush; once set, Build stops with Cancelled.
   static Result<std::unique_ptr<PackedRTree>> Build(
       const std::string& path, const RTreeOptions& options, BufferPool* pool,
       PointSource* source, std::function<uint8_t(uint32_t)> view_arity,
-      std::shared_ptr<IoStats> io_stats = nullptr);
+      std::shared_ptr<IoStats> io_stats = nullptr,
+      const CancelFlag* cancel = nullptr);
 
   /// Opens an existing tree file.
   static Result<std::unique_ptr<PackedRTree>> Open(
@@ -123,17 +126,16 @@ class PackedRTree {
   template <typename Emit>
   Status Search(const Rect& query, Emit&& emit, SearchStats* stats = nullptr);
 
-  /// Sequential pack-order scan over all points (merge-pack input). Reads
-  /// leaf pages directly (sequential I/O, bypassing the pool).
-  class Scanner {
+  /// Sequential pack-order scan over all points: the "old Cubetree" input
+  /// of the merge-pack of Figure 15. Reads leaf pages directly (sequential
+  /// I/O, bypassing the pool). The tree must outlive the scanner.
+  class Scanner : public PointSource {
    public:
-    /// Sets *record to the next point or nullptr at end.
-    Status Next(const PointRecord** record);
-
-   private:
-    friend class PackedRTree;
     explicit Scanner(PackedRTree* tree) : tree_(tree) {}
 
+    Status Next(const PointRecord** record) override;
+
+   private:
     PackedRTree* tree_;
     Page page_;
     PageId next_page_ = 1;  // Leaves start right after the meta page.

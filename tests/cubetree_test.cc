@@ -3,14 +3,23 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "cubetree/cubetree.h"
 #include "cubetree/forest.h"
 #include "cubetree/merge_pack.h"
 #include "cubetree/select_mapping.h"
 #include "cubetree/view_def.h"
+#include "fault/fault_injector.h"
 #include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
@@ -301,27 +310,45 @@ TEST_F(ForestTest, DuplicateViewIdRejected) {
 
 // --- Merge-pack ----------------------------------------------------------
 
-TEST(MergePointSourceTest, MergesAndCombines) {
-  std::vector<PointRecord> a_points, b_points;
-  auto mk = [](uint32_t x, uint32_t y, int64_t sum) {
-    PointRecord rec;
-    rec.view_id = 1;
-    rec.coords[0] = x;
-    rec.coords[1] = y;
-    rec.agg = AggValue{sum, 1};
-    return rec;
-  };
-  a_points = {mk(1, 1, 10), mk(3, 1, 30), mk(1, 2, 100)};
-  b_points = {mk(2, 1, 20), mk(3, 1, 5), mk(5, 3, 50)};
-  VectorPointSource a(a_points), b(b_points);
-  MergePointSource merged(&a, &b, 2);
-  std::vector<PointRecord> out;
+/// The inputs of one merge, each a VectorPointSource over its points.
+std::vector<std::unique_ptr<PointSource>> Sources(
+    std::vector<std::vector<PointRecord>> inputs) {
+  std::vector<std::unique_ptr<PointSource>> sources;
+  for (auto& points : inputs) {
+    sources.push_back(std::make_unique<VectorPointSource>(std::move(points)));
+  }
+  return sources;
+}
+
+/// Drains `source`; the first error ends the drain and is returned.
+Status Drain(PointSource* source, std::vector<PointRecord>* out) {
   while (true) {
     const PointRecord* rec = nullptr;
-    ASSERT_OK(merged.Next(&rec));
-    if (rec == nullptr) break;
-    out.push_back(*rec);
+    CT_RETURN_NOT_OK(source->Next(&rec));
+    if (rec == nullptr) return Status::OK();
+    out->push_back(*rec);
   }
+}
+
+PointRecord MakePoint(uint32_t view_id, std::vector<Coord> coords,
+                      AggValue agg) {
+  PointRecord rec;
+  rec.view_id = view_id;
+  std::copy(coords.begin(), coords.end(), rec.coords);
+  rec.agg = agg;
+  return rec;
+}
+
+TEST(MergePointSourceTest, MergesAndCombines) {
+  auto mk = [](uint32_t x, uint32_t y, int64_t sum) {
+    return MakePoint(1, {x, y}, AggValue{sum, 1});
+  };
+  MergePointSource merged(
+      Sources({{mk(1, 1, 10), mk(3, 1, 30), mk(1, 2, 100)},
+               {mk(2, 1, 20), mk(3, 1, 5), mk(5, 3, 50)}}),
+      2);
+  std::vector<PointRecord> out;
+  ASSERT_OK(Drain(&merged, &out));
   ASSERT_EQ(out.size(), 5u);
   EXPECT_EQ(out[0].coords[0], 1u);
   EXPECT_EQ(out[1].coords[0], 2u);
@@ -333,12 +360,9 @@ TEST(MergePointSourceTest, MergesAndCombines) {
 }
 
 TEST(MergePointSourceTest, EmptySides) {
-  std::vector<PointRecord> points(1);
-  points[0].view_id = 1;
-  points[0].coords[0] = 7;
+  const PointRecord point = MakePoint(1, {7}, AggValue{});
   {
-    VectorPointSource a(points), b({});
-    MergePointSource merged(&a, &b, 1);
+    MergePointSource merged(Sources({{point}, {}}), 1);
     const PointRecord* rec = nullptr;
     ASSERT_OK(merged.Next(&rec));
     ASSERT_NE(rec, nullptr);
@@ -347,11 +371,122 @@ TEST(MergePointSourceTest, EmptySides) {
     EXPECT_EQ(rec, nullptr);
   }
   {
-    VectorPointSource a({}), b({});
-    MergePointSource merged(&a, &b, 1);
+    MergePointSource merged(Sources({{}, {}}), 1);
     const PointRecord* rec = nullptr;
     ASSERT_OK(merged.Next(&rec));
     EXPECT_EQ(rec, nullptr);
+  }
+}
+
+// 1..6 inputs, every third one empty, the rest interleaving disjoint keys:
+// the output is their union in pack order.
+TEST(MergePointSourceTest, OneToSixInputsSomeEmpty) {
+  for (size_t k = 1; k <= 6; ++k) {
+    std::vector<std::vector<PointRecord>> inputs(k);
+    size_t expected = 0;
+    for (size_t i = 0; i < k; ++i) {
+      if (i % 3 == 2) continue;
+      for (Coord y = 1; y <= 5; ++y) {
+        for (Coord x = 1; x <= 4; ++x) {
+          inputs[i].push_back(MakePoint(
+              1, {x, static_cast<Coord>(y * k + i)}, AggValue{1, 1}));
+          ++expected;
+        }
+      }
+    }
+    MergePointSource merged(Sources(std::move(inputs)), 2);
+    std::vector<PointRecord> out;
+    ASSERT_OK(Drain(&merged, &out));
+    ASSERT_EQ(out.size(), expected) << k << " inputs";
+    for (size_t n = 1; n < out.size(); ++n) {
+      EXPECT_LT(PackOrderCompare(out[n - 1].coords, out[n].coords, 2), 0)
+          << k << " inputs, output " << n;
+    }
+  }
+}
+
+// A key present in four of five inputs comes out once, carrying the sum of
+// its aggregates; its neighbours pass through untouched.
+TEST(MergePointSourceTest, KeyInSeveralInputsIsSummed) {
+  const PointRecord before = MakePoint(3, {1, 1, 1}, AggValue{1, 1});
+  const PointRecord after = MakePoint(3, {9, 9, 9}, AggValue{2, 1});
+  auto shared = [](int64_t sum) {
+    return MakePoint(3, {4, 5, 6}, AggValue{sum, 1});
+  };
+  MergePointSource merged(Sources({{before, shared(10)},
+                                   {shared(200)},
+                                   {},
+                                   {shared(3000), after},
+                                   {shared(40000)}}),
+                          3);
+  std::vector<PointRecord> out;
+  ASSERT_OK(Drain(&merged, &out));
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].agg, before.agg);
+  EXPECT_EQ(out[1].view_id, 3u);
+  EXPECT_EQ(out[1].coords[2], 6u);
+  EXPECT_EQ(out[1].agg, (AggValue{43210, 4}));
+  EXPECT_EQ(out[2].agg, after.agg);
+}
+
+// Two views can never share a point of one tree; seeing it means one of
+// the inputs is damaged.
+TEST(MergePointSourceTest, EqualCoordinatesFromTwoViewsIsCorruption) {
+  MergePointSource merged(
+      Sources({{MakePoint(1, {2, 2}, AggValue{1, 1})},
+               {MakePoint(1, {1, 1}, AggValue{1, 1}),
+                MakePoint(2, {2, 2}, AggValue{1, 1})}}),
+      2);
+  std::vector<PointRecord> out;
+  const Status status = Drain(&merged, &out);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_EQ(out.size(), 1u);  // The point before the clash came out.
+}
+
+// Random input counts, overlaps and empty inputs against a std::map fold
+// keyed in pack order.
+TEST(MergePointSourceTest, SeededSweepMatchesMapReference) {
+  constexpr uint8_t kDims = 3;
+  // Pack order: the last coordinate is the most significant.
+  auto pack_key = [](const PointRecord& rec) {
+    return std::vector<Coord>{rec.coords[2], rec.coords[1], rec.coords[0]};
+  };
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const size_t k = 1 + rng.Uniform(6);
+    std::map<std::vector<Coord>, PointRecord> reference;
+    std::vector<std::vector<PointRecord>> inputs(k);
+    for (size_t i = 0; i < k; ++i) {
+      // Unique keys within one input; up to 60 of them, from a small domain
+      // so the inputs overlap.
+      std::map<std::vector<Coord>, PointRecord> keyed;
+      const size_t n = rng.Uniform(61);
+      for (size_t p = 0; p < n; ++p) {
+        PointRecord rec = MakePoint(
+            7,
+            {static_cast<Coord>(1 + rng.Uniform(6)),
+             static_cast<Coord>(1 + rng.Uniform(4)),
+             static_cast<Coord>(1 + rng.Uniform(5))},
+            AggValue{static_cast<int64_t>(rng.Uniform(1000)) - 500, 1});
+        keyed.emplace(pack_key(rec), rec);
+      }
+      for (const auto& [key, rec] : keyed) {
+        inputs[i].push_back(rec);
+        auto [it, fresh] = reference.emplace(key, rec);
+        if (!fresh) it->second.agg.Merge(rec.agg);
+      }
+    }
+    MergePointSource merged(Sources(std::move(inputs)), kDims);
+    std::vector<PointRecord> out;
+    ASSERT_OK(Drain(&merged, &out));
+    ASSERT_EQ(out.size(), reference.size()) << "seed " << seed;
+    size_t n = 0;
+    for (const auto& [key, rec] : reference) {
+      EXPECT_EQ(pack_key(out[n]), key) << "seed " << seed << " point " << n;
+      EXPECT_EQ(out[n].agg, rec.agg) << "seed " << seed << " point " << n;
+      EXPECT_EQ(out[n].view_id, rec.view_id);
+      ++n;
+    }
   }
 }
 
@@ -656,6 +791,222 @@ TEST_F(ForestTest, StorageAccounting) {
   // Destroy removes all files.
   ASSERT_OK(forest->Destroy());
   EXPECT_EQ(forest->TotalSizeBytes(), 0u);
+}
+
+// --- One write path for every generation ---------------------------------
+
+/// Every group a forest stores: (view id, the view's coordinates) -> agg.
+using Groups = std::map<std::pair<uint32_t, std::vector<Coord>>, AggValue>;
+
+std::vector<ViewDef> PaperViews() {
+  return {MakeView(1, {0, 1}), MakeView(2, {1, 2}), MakeView(3, {0}),
+          MakeView(4, {})};
+}
+
+/// Adds `rows` random groups per view to `provider` (unique keys within
+/// one call, from a domain small enough that successive calls overlap) and
+/// folds them into `groups`.
+void FillRandom(const std::vector<ViewDef>& views, uint64_t seed, size_t rows,
+                VectorViewProvider* provider, Groups* groups) {
+  Rng rng(seed);
+  for (const ViewDef& view : views) {
+    std::map<std::vector<Coord>, AggValue> keyed;
+    for (size_t r = 0; r < rows; ++r) {
+      std::vector<Coord> key;
+      for (size_t a = 0; a < view.arity(); ++a) {
+        key.push_back(static_cast<Coord>(1 + rng.Uniform(12)));
+      }
+      keyed[key].Merge(
+          AggValue{static_cast<int64_t>(rng.Uniform(1000)) - 300, 1});
+    }
+    for (const auto& [key, agg] : keyed) {
+      provider->Add(view, key, agg);
+      (*groups)[{view.id, key}].Merge(agg);
+    }
+  }
+}
+
+/// What the forest answers for every group of every view, folded across
+/// main and delta trees.
+Groups Served(CubetreeForest* forest) {
+  Groups served;
+  for (const ViewDef& view : forest->views()) {
+    auto tree = forest->TreeForView(view.id);
+    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+    if (!tree.ok()) continue;
+    std::vector<std::optional<Coord>> open(view.arity(), std::nullopt);
+    EXPECT_OK((*tree)->QuerySlice(
+        view.id, open, [&](const Coord* coords, const AggValue& agg) {
+          served[{view.id, std::vector<Coord>(coords, coords + view.arity())}]
+              .Merge(agg);
+        }));
+  }
+  return served;
+}
+
+/// Files of forest `name` in `dir`: trees, sidecars, manifest and draft.
+std::set<std::string> ForestFiles(const std::string& dir,
+                                  const std::string& name) {
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string file = entry.path().filename().string();
+    if (file.starts_with(name + "_") || file.starts_with(name + ".")) {
+      files.insert(file);
+    }
+  }
+  return files;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+struct DisarmOnExit {
+  ~DisarmOnExit() { FaultInjector::Instance().DisarmAll(); }
+};
+
+// A load is a generation transaction: a fault before its commit leaves no
+// file behind and the forest as Create left it, so the same call can be
+// retried on the same object.
+TEST_F(ForestTest, FailedBuildLeavesNoFilesAndCanBeRetried) {
+  const std::vector<ViewDef> views = PaperViews();
+  VectorViewProvider base;
+  Groups expected;
+  FillRandom(views, /*seed=*/5, /*rows=*/150, &base, &expected);
+  struct Fault {
+    const char* point;
+    const char* action;
+    bool (Status::*typed)() const;
+  };
+  DisarmOnExit disarm;
+  for (const Fault& fault : {Fault{"rtree.build.sync", "enospc",
+                                   &Status::IsStorageFull},
+                             Fault{"forest.refresh.build", "error",
+                                   &Status::IsIOError}}) {
+    SCOPED_TRACE(fault.point);
+    ASSERT_OK_AND_ASSIGN(auto forest, MakeForest());
+    const std::string name = "f" + std::to_string(count_);
+    ASSERT_OK(FaultInjector::Instance().Arm(fault.point, fault.action));
+    const Status failed = forest->Build(views, &base);
+    FaultInjector::Instance().DisarmAll();
+    EXPECT_TRUE((failed.*fault.typed)()) << failed.ToString();
+    EXPECT_EQ(ForestFiles(dir_, name), std::set<std::string>{});
+    EXPECT_EQ(forest->num_trees(), 0u);
+    EXPECT_TRUE(forest->views().empty());
+    EXPECT_TRUE(forest->plan().trees.empty());
+    EXPECT_FALSE(forest->view(1).ok());
+    EXPECT_FALSE(forest->AcquireSnapshot().valid());
+
+    ASSERT_OK(forest->Build(views, &base));
+    EXPECT_EQ(forest->num_trees(), 2u);
+    EXPECT_EQ(Served(forest.get()), expected);
+  }
+}
+
+// Every main and delta tree a load or refresh writes is byte for byte the
+// bulk build of its brute-force contents: the k-way merge adds nothing a
+// from-scratch pack would not write.
+TEST_F(ForestTest, RefreshedTreeEqualsBulkBuildOfItsContents) {
+  const std::vector<ViewDef> views = PaperViews();
+  ASSERT_OK_AND_ASSIGN(auto forest, MakeForest());
+  Groups main;                  // What the main trees hold.
+  std::vector<Groups> pending;  // One increment per pending delta tree.
+  uint64_t seed = 100;
+
+  // `groups` restricted to tree `t`, packed by Build at `path`.
+  auto bulk_build = [&](const Groups& groups, size_t t,
+                        const std::string& path) -> Status {
+    const uint8_t dims = forest->plan().trees[t].dims;
+    std::vector<PointRecord> points;
+    for (const auto& [key, agg] : groups) {
+      if (forest->plan().view_to_tree.at(key.first) != t) continue;
+      points.push_back(MakePoint(key.first, key.second, agg));
+    }
+    std::sort(points.begin(), points.end(),
+              [dims](const PointRecord& a, const PointRecord& b) {
+                return PackOrderCompare(a.coords, b.coords, dims) < 0;
+              });
+    RTreeOptions options;
+    options.dims = dims;
+    VectorPointSource source(std::move(points));
+    CT_ASSIGN_OR_RETURN(
+        auto built,
+        PackedRTree::Build(path, options, pool_.get(), &source,
+                           [&](uint32_t view_id) {
+                             return forest->view(view_id).value()->arity();
+                           }));
+    return Status::OK();
+  };
+  auto expect_same_file = [&](const std::string& live, const Groups& groups,
+                              size_t t) {
+    const std::string reference = dir_ + "/reference.ctr";
+    ASSERT_OK(bulk_build(groups, t, reference));
+    EXPECT_EQ(ReadBytes(live), ReadBytes(reference)) << live;
+    EXPECT_EQ(ReadBytes(ChecksumSidecarPath(live)),
+              ReadBytes(ChecksumSidecarPath(reference)))
+        << live;
+  };
+  auto check = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    ASSERT_EQ(forest->num_trees(), 2u);
+    for (size_t t = 0; t < forest->num_trees(); ++t) {
+      std::shared_ptr<Cubetree> tree = forest->tree(t);
+      expect_same_file(tree->rtree()->path(), main, t);
+      // A delta tree is dropped when its increment has nothing for this
+      // tree's views.
+      size_t d = 0;
+      for (const Groups& increment : pending) {
+        const bool touches = std::any_of(
+            increment.begin(), increment.end(), [&](const auto& group) {
+              return forest->plan().view_to_tree.at(group.first.first) == t;
+            });
+        if (!touches) continue;
+        ASSERT_LT(d, tree->num_deltas());
+        expect_same_file(tree->shared_deltas()[d]->path(), increment, t);
+        ++d;
+      }
+      EXPECT_EQ(d, tree->num_deltas());
+    }
+    Groups all = main;
+    for (const Groups& increment : pending) {
+      for (const auto& [key, agg] : increment) all[key].Merge(agg);
+    }
+    EXPECT_EQ(Served(forest.get()), all);
+  };
+  auto partial = [&] {
+    VectorViewProvider input;
+    pending.emplace_back();
+    FillRandom(views, ++seed, /*rows=*/40, &input, &pending.back());
+    return forest->ApplyDeltaPartial(&input);
+  };
+  auto fold_pending = [&] {
+    for (const Groups& increment : pending) {
+      for (const auto& [key, agg] : increment) main[key].Merge(agg);
+    }
+    pending.clear();
+  };
+
+  VectorViewProvider base;
+  FillRandom(views, ++seed, /*rows=*/400, &base, &main);
+  ASSERT_OK(forest->Build(views, &base));
+  check("Build");
+  for (int k = 1; k <= 3; ++k) {
+    ASSERT_OK(partial());
+    check("ApplyDeltaPartial " + std::to_string(k));
+  }
+  VectorViewProvider delta;
+  FillRandom(views, ++seed, /*rows=*/120, &delta, &main);
+  ASSERT_OK(forest->ApplyDelta(&delta));
+  fold_pending();
+  check("ApplyDelta over 3 pending deltas");
+  // One more pending delta, so the compaction has something to fold.
+  ASSERT_OK(partial());
+  check("ApplyDeltaPartial 4");
+  ASSERT_OK(forest->Compact());
+  fold_pending();
+  check("Compact");
 }
 
 }  // namespace

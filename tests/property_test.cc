@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -275,12 +276,24 @@ TEST_P(MergePackProperty, RepeatedDeltasConverge) {
               [&](const PointRecord& a, const PointRecord& b) {
                 return PackOrderCompare(a.coords, b.coords, dims) < 0;
               });
-    VectorPointSource delta_source(std::move(delta_points));
     const std::string path =
         dir + "/t_g" + std::to_string(round) + ".ctr";
-    ASSERT_OK_AND_ASSIGN(
-        auto merged, MergePack(tree.get(), &delta_source, path, options,
-                               &pool, arity_fn));
+    std::unique_ptr<PackedRTree> merged;
+    {
+      // The forest's merge-pack: the old tree (none in round 0) and the
+      // delta through one MergePointSource into Build. The scanner goes
+      // before the old tree does.
+      std::vector<std::unique_ptr<PointSource>> inputs;
+      if (tree != nullptr) {
+        inputs.push_back(std::make_unique<PackedRTree::Scanner>(tree.get()));
+      }
+      inputs.push_back(
+          std::make_unique<VectorPointSource>(std::move(delta_points)));
+      MergePointSource merged_source(std::move(inputs), options.dims);
+      ASSERT_OK_AND_ASSIGN(merged, PackedRTree::Build(path, options, &pool,
+                                                      &merged_source,
+                                                      arity_fn));
+    }
     tree = std::move(merged);
     ASSERT_EQ(tree->num_points(), reference.size()) << "round " << round;
   }

@@ -5,7 +5,9 @@
 #include <set>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "rtree/geometry.h"
 #include "rtree/node.h"
 #include "rtree/packed_rtree.h"
@@ -274,6 +276,59 @@ TEST_F(PackedRTreeTest, RejectsUnsortedInput) {
   auto points = MakeGridPoints(100);
   std::swap(points[10], points[50]);
   EXPECT_FALSE(Build(points, 2, [](uint32_t) { return 2; }).ok());
+}
+
+// A parallel refresh cancels its sibling packers through the worker's
+// flag, which Build polls once per leaf flush.
+TEST_F(PackedRTreeTest, BuildStopsOnCancelledFlag) {
+  // Counts the points Build pulls, and cancels the flag at the `cancel_at`th.
+  class CountingSource : public PointSource {
+   public:
+    CountingSource(std::vector<PointRecord> points, CancelFlag* flag,
+                   size_t cancel_at)
+        : inner_(std::move(points)), flag_(flag), cancel_at_(cancel_at) {}
+    Status Next(const PointRecord** record) override {
+      if (++pulled_ == cancel_at_) flag_->Cancel();
+      return inner_.Next(record);
+    }
+    size_t pulled() const { return pulled_; }
+
+   private:
+    VectorPointSource inner_;
+    CancelFlag* flag_;
+    size_t cancel_at_;
+    size_t pulled_ = 0;
+  };
+  auto* points_packed =
+      obs::MetricsRegistry::Instance().GetCounter("rtree.points_packed");
+  const size_t leaf_capacity = RLeafCapacity(2);
+  RTreeOptions options;
+  options.dims = 2;
+  auto arity = [](uint32_t) { return static_cast<uint8_t>(2); };
+  // Already cancelled: the first flush stops the build, so at most one
+  // leaf's points (and the point that closed it) are pulled.
+  for (size_t cancel_at : {size_t{1}, size_t{1000}}) {
+    SCOPED_TRACE(cancel_at);
+    CancelFlag flag;
+    CountingSource source(MakeGridPoints(5000), &flag, cancel_at);
+    const uint64_t packed_before = points_packed->value();
+    auto built = PackedRTree::Build(dir_ + "/cancelled.ctr", options,
+                                    pool_.get(), &source, arity,
+                                    /*io_stats=*/nullptr, &flag);
+    ASSERT_FALSE(built.ok());
+    EXPECT_TRUE(built.status().IsCancelled()) << built.status().ToString();
+    EXPECT_LE(source.pulled(), cancel_at + leaf_capacity + 1);
+    EXPECT_LT(source.pulled(), 5000u);
+    EXPECT_EQ(points_packed->value(), packed_before);
+  }
+  // A flag nobody sets changes nothing.
+  CancelFlag idle;
+  VectorPointSource source(MakeGridPoints(5000));
+  ASSERT_OK_AND_ASSIGN(auto tree,
+                       PackedRTree::Build(dir_ + "/idle.ctr", options,
+                                          pool_.get(), &source, arity,
+                                          /*io_stats=*/nullptr, &idle));
+  EXPECT_EQ(tree->num_points(), 5000u);
 }
 
 TEST_F(PackedRTreeTest, EmptyTree) {
