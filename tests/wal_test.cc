@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -20,9 +21,15 @@ std::string ReadFileBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+// Writes the prefix to a new file rather than truncating the old one:
+// ext4 flushes a file that was truncated to zero and rewritten when it is
+// closed, which makes the truncation sweeps' thousands of rewrites wait on
+// the disk.
 void WritePrefix(const std::string& path, const std::string& bytes,
                  size_t count) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::error_code ignored;
+  std::filesystem::remove(path, ignored);
+  std::ofstream out(path, std::ios::binary);
   ASSERT_TRUE(out.good()) << path;
   out.write(bytes.data(), static_cast<std::streamsize>(count));
   ASSERT_TRUE(out.good()) << path;
